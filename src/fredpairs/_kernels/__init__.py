@@ -1,24 +1,11 @@
-"""Hot-loop kernels with a compiled core and a pure-Python fallback.
+"""The two hot-loop kernels: exact row reduction and matrix multiplication.
 
-The compiled extension (``_speedups``, built with Cython) is preferred; set
-``FREDPAIRS_PURE_KERNELS=1`` to force the pure backend, e.g. for benchmarking
-or debugging.  Both backends are exact and bit-identical.
+One backend, ``_pure``, works on Python ints inside each call (see its
+docstring); ``BACKEND`` names it.
 """
 
-import os
+from ._pure import mat_mul, rref_rows
 
-if os.environ.get("FREDPAIRS_PURE_KERNELS"):
-    from ._pure import mat_mul, rref_rows
-
-    BACKEND = "pure"
-else:
-    try:
-        from ._speedups import mat_mul, rref_rows
-
-        BACKEND = "speedups"
-    except ImportError:  # extension not built; fall back silently
-        from ._pure import mat_mul, rref_rows
-
-        BACKEND = "pure"
+BACKEND = "integer"
 
 __all__ = ["BACKEND", "mat_mul", "rref_rows"]

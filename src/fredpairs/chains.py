@@ -75,7 +75,7 @@ class ChainInstance:
         if (
             not isinstance(dims, list)
             or not dims
-            or any(not isinstance(d, int) or d < 0 for d in dims)
+            or any(type(d) is not int or d < 0 for d in dims)  # rejects JSON true, a bool
         ):
             raise InputError("dims must be a nonempty list of nonnegative integers")
         if not isinstance(maps, list) or len(maps) != len(dims) - 1:

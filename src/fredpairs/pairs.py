@@ -55,7 +55,8 @@ class PairInstance:
             s_obj, t_obj = obj["s"], obj["t"]
         except KeyError as exc:
             raise InputError(f"pair JSON is missing key {exc}") from None
-        if not isinstance(dim_x, int) or not isinstance(dim_y, int) or dim_x < 0 or dim_y < 0:
+        # bool is a subclass of int, but a JSON true is not a dimension
+        if any(type(d) is not int or d < 0 for d in (dim_x, dim_y)):
             raise InputError("dim_x and dim_y must be nonnegative integers")
         s = RatMatrix.from_json_obj(s_obj, rows=dim_y, cols=dim_x)
         t = RatMatrix.from_json_obj(t_obj, rows=dim_x, cols=dim_y)

@@ -59,10 +59,6 @@ class Subspace:
         self._require_same_ambient(other)
         return (self + other).dim == self.dim
 
-    def contains_vector(self, vector: RatMatrix) -> bool:
-        """Membership of a column vector."""
-        return self.contains(Subspace.spanned_by(vector.transpose()))
-
     def to_json_obj(self) -> dict:
         return {"ambient": self.ambient_dim, "basis": self.basis.to_json_obj()}
 

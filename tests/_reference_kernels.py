@@ -1,0 +1,58 @@
+"""Reference kernels for the parity tests in ``test_kernels.py``.
+
+Straightforward Gauss-Jordan reduction and matrix multiplication working
+directly on ``Fraction`` entries.  The library's integer kernels in
+``fredpairs._kernels`` must return equal results and equal pivots.
+"""
+
+from fractions import Fraction
+
+_ZERO = Fraction(0)
+
+
+def rref_rows(rows, ncols):
+    """Reduce ``rows`` (lists of Fractions) to reduced row-echelon form.
+
+    Returns ``(new_rows, pivots)`` where ``pivots`` lists the pivot column of
+    each nonzero row in order.  The input lists are not modified.
+    """
+    rows = [list(row) for row in rows]
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, m):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [e * inv for e in rows[r]]
+        lead = rows[r]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], lead)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return rows, pivots
+
+
+def mat_mul(a, b, m, k, n):
+    """Multiply an m x k by a k x n list-of-rows matrix of Fractions."""
+    out = []
+    for i in range(m):
+        arow = a[i]
+        orow = []
+        for j in range(n):
+            acc = _ZERO
+            for t in range(k):
+                acc += arow[t] * b[t][j]
+            orow.append(acc)
+        out.append(orow)
+    return out

@@ -58,6 +58,12 @@ class TestPairReport:
         code, _, err = run(capsys, ["pair-report", write(tmp_path, "bad.json", obj)])
         assert code == 2 and err
 
+    def test_boolean_dimension_rejected(self, tmp_path, capsys):
+        obj = {"dim_x": True, "dim_y": 1, "s": [[1]], "t": [[0]]}
+        code, out, err = run(capsys, ["pair-report", write(tmp_path, "bad.json", obj)])
+        assert code == 2
+        assert out == "" and "dim_x" in err
+
 
 class TestChainReport:
     def test_non_complex(self, tmp_path, capsys):
@@ -69,6 +75,12 @@ class TestChainReport:
         assert report["index"] == 1
         assert report["d"] == [0, -1, 0]
         assert report["euler_characteristic"] == 1
+
+    def test_boolean_dimension_rejected(self, tmp_path, capsys):
+        obj = {"dims": [True, 1], "maps": [[[1]]]}
+        code, out, err = run(capsys, ["chain-report", write(tmp_path, "bad.json", obj)])
+        assert code == 2
+        assert out == "" and "dims" in err
 
 
 class TestVerify:
