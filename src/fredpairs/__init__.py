@@ -2,6 +2,7 @@
 
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .chains import (
+    ChainAnalysis,
     ChainDefects,
     ChainInstance,
     QuotientChain,
@@ -18,6 +19,7 @@ from .matrices import RankFactorization, RatMatrix, block, direct_sum, hstack, v
 from .pairs import (
     InducedPair,
     InverseBundle,
+    PairAnalysis,
     PairDefects,
     PairInstance,
     TheoremReport,

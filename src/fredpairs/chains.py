@@ -10,18 +10,11 @@ complexes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DimensionError, InputError
 from .matrices import RatMatrix, block
-from .pairs import (
-    InverseBundle,
-    PairInstance,
-    TheoremReport,
-    build_extensions,
-    fredholm_data,
-    induced_pair,
-    pair_defects,
-)
+from .pairs import PairAnalysis, PairInstance, TheoremReport, fredholm_data
 from .subspaces import QuotientStructure, image_basis, induced_map, kernel_basis, quotient
 
 
@@ -162,12 +155,39 @@ def fold_to_pair(c: ChainInstance) -> PairInstance:
     return PairInstance(dim_x=s.cols, dim_y=s.rows, s=s, t=t)
 
 
-def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
+class ChainAnalysis:
+    """The derived objects of one chain, each computed on first use and kept.
+
+    ``folded`` is the :class:`PairAnalysis` of the folded pair, so the
+    chain verifiers and the pair verifiers run on the fold share its defects
+    and extensions.
+    """
+
+    def __init__(self, chain: ChainInstance):
+        self.chain = chain
+
+    @cached_property
+    def defects(self) -> ChainDefects:
+        return chain_defects(self.chain)
+
+    @cached_property
+    def quotient(self) -> QuotientChain:
+        return quotient_chain(self.chain)
+
+    @cached_property
+    def folded(self) -> PairAnalysis:
+        return PairAnalysis(fold_to_pair(self.chain))
+
+
+def _chain_analysis(c: ChainInstance | ChainAnalysis) -> ChainAnalysis:
+    return c if isinstance(c, ChainAnalysis) else ChainAnalysis(c)
+
+
+def verify_remark_2_3(c: ChainInstance | ChainAnalysis) -> TheoremReport:
     """Chain index equals the folded pair index; the per-degree composition
     defects sum to dim R(ST) + dim R(TS) of the folded pair."""
-    defects = chain_defects(c)
-    folded = fold_to_pair(c)
-    p_defects = pair_defects(folded)
+    analysis = _chain_analysis(c)
+    c, defects, p_defects = analysis.chain, analysis.defects, analysis.folded.defects
     euler = sum(d if p % 2 == 0 else -d for p, d in enumerate(c.dims))
     checks = {
         "index_matches_pair": defects.index == p_defects.index,
@@ -244,20 +264,19 @@ def _parity_operator(c: ChainInstance, qc: QuotientChain, source: list[int], tar
     return _fold_map(c, source, target, blocks)
 
 
-def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
+def verify_theorem_4_2(c: ChainInstance | ChainAnalysis) -> TheoremReport:
     """index of the even-to-odd operator (+)(d_p + d'_{p+1}) equals the chain
     index and the negative of its odd-to-even sibling; both coincide exactly
     with S + T' and T + S' of the folded pair under default extensions."""
-    defects = chain_defects(c)
-    qc = quotient_chain(c)
+    analysis = _chain_analysis(c)
+    c, defects, qc = analysis.chain, analysis.defects, analysis.quotient
     even, odd = _even_degrees(c), _odd_degrees(c)
     e = _parity_operator(c, qc, even, odd)
     o = _parity_operator(c, qc, odd, even)
     _, _, index_e = fredholm_data(e)
     _, _, index_o = fredholm_data(o)
 
-    folded = fold_to_pair(c)
-    bundle = build_extensions(folded)
+    folded, bundle = analysis.folded.pair, analysis.folded.extensions
     checks = {
         "index_even": index_e == defects.index,
         "index_odd": index_o == -defects.index,
@@ -276,14 +295,14 @@ def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
     )
 
 
-def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
+def verify_theorem_4_4(c: ChainInstance | ChainAnalysis) -> TheoremReport:
     """Per-degree Laplacians d_{p+1} d'_{p+1} + d'_p d_p.
 
     At quotient level the Laplacian has nullity a_p and index 0; the original
     Laplacian differs from the lift of the quotient one by a matrix of rank at
     most dim R(d_{p+1} d_{p+2}) + dim R(d_p d_{p+1})."""
-    defects = chain_defects(c)
-    qc = quotient_chain(c)
+    analysis = _chain_analysis(c)
+    c, defects, qc = analysis.chain, analysis.defects, analysis.quotient
     n = c.top_degree
 
     def tilde_delta(p):

@@ -15,16 +15,23 @@ passed, 1 a verification failed, 2 malformed input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
-from .chains import ChainInstance, chain_defects, verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4
+from .chains import (
+    ChainAnalysis,
+    ChainInstance,
+    chain_defects,
+    verify_remark_2_3,
+    verify_theorem_4_2,
+    verify_theorem_4_4,
+)
 from .errors import FredpairsError, InputError
 from .generators import GenConfig, SplitMix64, child_seed, random_chain, random_pair
 from .matrices import RatMatrix
-from .pairs import PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
-from .chains import fold_to_pair
+from .pairs import PairAnalysis, PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
 
 PAIR_CHECKS = ("thm34", "thm36")
 CHAIN_CHECKS = ("remark23", "thm42", "thm44", "thm34", "thm36")
@@ -49,26 +56,26 @@ def _parse_instance(obj):
     raise InputError("instance JSON is neither a pair (dim_x/dim_y/s/t) nor a chain (dims/maps)")
 
 
-def _pair_reports(pair: PairInstance, checks) -> list:
+def _pair_reports(analysis: PairAnalysis, checks) -> list:
     reports = []
     if "thm34" in checks:
-        reports.append(verify_theorem_3_4(pair))
+        reports.append(verify_theorem_3_4(analysis))
     if "thm36" in checks:
-        reports.append(verify_theorem_3_6(pair))
+        reports.append(verify_theorem_3_6(analysis))
     return reports
 
 
-def _chain_reports(chain: ChainInstance, checks) -> list:
+def _chain_reports(analysis: ChainAnalysis, checks) -> list:
     reports = []
     if "remark23" in checks:
-        reports.append(verify_remark_2_3(chain))
+        reports.append(verify_remark_2_3(analysis))
     if "thm42" in checks:
-        reports.append(verify_theorem_4_2(chain))
+        reports.append(verify_theorem_4_2(analysis))
     if "thm44" in checks:
-        reports.append(verify_theorem_4_4(chain))
+        reports.append(verify_theorem_4_4(analysis))
     folded_checks = [c for c in checks if c in PAIR_CHECKS]
     if folded_checks:
-        reports.extend(_pair_reports(fold_to_pair(chain), folded_checks))
+        reports.extend(_pair_reports(analysis.folded, folded_checks))
     return reports
 
 
@@ -108,14 +115,14 @@ def cmd_verify(args) -> int:
     if isinstance(instance, ChainInstance):
         if args.all or not checks:
             checks = list(CHAIN_CHECKS)
-        reports = _chain_reports(instance, checks)
+        reports = _chain_reports(ChainAnalysis(instance), checks)
     else:
         if args.all or not checks:
             checks = list(PAIR_CHECKS)
         bad = [c for c in checks if c not in PAIR_CHECKS]
         if bad:
             raise InputError(f"checks {bad} need a chain file, {args.file} holds a pair")
-        reports = _pair_reports(instance, checks)
+        reports = _pair_reports(PairAnalysis(instance), checks)
     print(json.dumps({"reports": [r.to_json_obj() for r in reports]}))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -132,11 +139,11 @@ def _fuzz_instance(cfg_seed: int, ordinal: int, args):
     rng = cfg.rng()
     if ordinal % 2 == 0:
         instance = random_pair(cfg, rng)
-        reports = _pair_reports(instance, PAIR_CHECKS)
+        reports = _pair_reports(PairAnalysis(instance), PAIR_CHECKS)
         kind = "pair"
     else:
         instance = random_chain(cfg, rng.randint(1, 5), rng)
-        reports = _chain_reports(instance, ("remark23", "thm42", "thm44"))
+        reports = _chain_reports(ChainAnalysis(instance), ("remark23", "thm42", "thm44"))
         kind = "chain"
     return seed, kind, instance, reports
 
@@ -227,9 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; ``parse_args`` keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FredpairsError as exc:

@@ -76,7 +76,20 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "entries", "_rref", "_hash")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable]):
-        grid = tuple(tuple(rat(e) for e in row) for row in entries)
+        self._fill(rows, cols, tuple(tuple(rat(e) for e in row) for row in entries))
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, entries: Iterable[Iterable[Fraction]]) -> "RatMatrix":
+        """Build from rows that already hold only Fractions: shape-checked, not coerced.
+
+        For kernel results and rearrangements of existing matrices; anything
+        from outside the package goes through the validating constructor.
+        """
+        self = object.__new__(cls)
+        self._fill(rows, cols, tuple(map(tuple, entries)))
+        return self
+
+    def _fill(self, rows: int, cols: int, grid: tuple[tuple[Fraction, ...], ...]):
         if len(grid) != rows or any(len(row) != cols for row in grid):
             raise DimensionError(f"entry grid does not match shape {rows}x{cols}")
         object.__setattr__(self, "rows", rows)
@@ -101,11 +114,11 @@ class RatMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, [[_ZERO] * cols for _ in range(rows)])
+        return cls._of(rows, cols, [(_ZERO,) * cols] * rows)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls._of(n, n, [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     @classmethod
     def column(cls, vector: Sequence) -> "RatMatrix":
@@ -154,7 +167,7 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._require_same_shape(other)
-        return RatMatrix(
+        return RatMatrix._of(
             self.rows,
             self.cols,
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
@@ -162,7 +175,7 @@ class RatMatrix:
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._require_same_shape(other)
-        return RatMatrix(
+        return RatMatrix._of(
             self.rows,
             self.cols,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
@@ -173,7 +186,7 @@ class RatMatrix:
 
     def scale(self, factor) -> "RatMatrix":
         f = rat(factor)
-        return RatMatrix(self.rows, self.cols, [[f * e for e in row] for row in self.entries])
+        return RatMatrix._of(self.rows, self.cols, [[f * e for e in row] for row in self.entries])
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -185,10 +198,11 @@ class RatMatrix:
             self.cols,
             other.cols,
         )
-        return RatMatrix(self.rows, other.cols, rows)
+        return RatMatrix._of(self.rows, other.cols, rows)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, zip(*self.entries) if self.rows else [[]] * self.cols)
+        columns = zip(*self.entries) if self.rows else [()] * self.cols
+        return RatMatrix._of(self.cols, self.rows, columns)
 
     # -- decompositions -----------------------------------------------
 
@@ -197,7 +211,8 @@ class RatMatrix:
         cached = self._rref
         if cached is None:
             rows, pivots = rref_rows([list(r) for r in self.entries], self.cols)
-            cached = RrefResult(RatMatrix(self.rows, self.cols, rows), tuple(pivots), len(pivots))
+            reduced = RatMatrix._of(self.rows, self.cols, rows)
+            cached = RrefResult(reduced, tuple(pivots), len(pivots))
             object.__setattr__(self, "_rref", cached)
         return cached
 
@@ -214,7 +229,7 @@ class RatMatrix:
         if result.rank < n:
             raise DimensionError("matrix is singular")
         red = result.reduced
-        return RatMatrix(n, n, [red.row(i)[n:] for i in range(n)])
+        return RatMatrix._of(n, n, [red.row(i)[n:] for i in range(n)])
 
     def rank_factorization(self) -> RankFactorization:
         """Full rank factorization A = C * R from the rref of A.
@@ -224,10 +239,10 @@ class RatMatrix:
         """
         result = self.rref()
         r = result.rank
-        left = RatMatrix(
+        left = RatMatrix._of(
             self.rows, r, [[row[c] for c in result.pivot_columns] for row in self.entries]
         )
-        right = RatMatrix(r, self.cols, [result.reduced.row(i) for i in range(r)])
+        right = RatMatrix._of(r, self.cols, result.reduced.entries[:r])
         return RankFactorization(left, right, r)
 
     def pseudoinverse(self) -> "RatMatrix":
@@ -286,7 +301,7 @@ def hstack(*mats: RatMatrix) -> RatMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack requires equal row counts")
-    return RatMatrix(
+    return RatMatrix._of(
         rows,
         sum(m.cols for m in mats),
         [[e for m in mats for e in m.row(i)] for i in range(rows)],
@@ -299,7 +314,7 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack requires equal column counts")
-    return RatMatrix(
+    return RatMatrix._of(
         sum(m.rows for m in mats), cols, [row for m in mats for row in m.entries]
     )
 

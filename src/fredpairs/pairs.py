@@ -9,6 +9,7 @@ failed report signals an implementation bug, not a numerical issue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DimensionError, InputError, PreconditionError
 from .matrices import RatMatrix, block, direct_sum
@@ -21,7 +22,6 @@ from .subspaces import (
     induced_map,
     kernel_basis,
     quotient,
-    quotient_dim,
 )
 
 
@@ -137,10 +137,9 @@ def pair_defects(p: PairInstance) -> PairDefects:
     """The four defect numbers and the index a - b - c + d."""
     n_s, r_t = kernel_basis(p.s), image_basis(p.t)
     n_t, r_s = kernel_basis(p.t), image_basis(p.s)
-    a = quotient_dim(n_s, n_s & r_t)
-    b = quotient_dim(r_t, n_s & r_t)
-    c = quotient_dim(n_t, n_t & r_s)
-    d = quotient_dim(r_s, n_t & r_s)
+    meet_x, meet_y = n_s & r_t, n_t & r_s
+    a, b = n_s.dim - meet_x.dim, r_t.dim - meet_x.dim
+    c, d = n_t.dim - meet_y.dim, r_s.dim - meet_y.dim
     dim_st, dim_ts = composition_ranges(p)
     return PairDefects(
         a=a,
@@ -258,10 +257,42 @@ def build_v(p: PairInstance, b: InverseBundle) -> RatMatrix:
     )
 
 
+# -- per-instance analysis --------------------------------------------
+
+
+class PairAnalysis:
+    """The derived objects of one pair, each computed on first use and kept.
+
+    Every verifier reads the defects, the induced pair and the default
+    (pseudoinverse) extensions from here, so one analysis shared by several
+    verifiers computes each of them once.  The objects themselves come from
+    the public functions above.
+    """
+
+    def __init__(self, pair: PairInstance):
+        self.pair = pair
+
+    @cached_property
+    def defects(self) -> PairDefects:
+        return pair_defects(self.pair)
+
+    @cached_property
+    def induced(self) -> InducedPair:
+        return induced_pair(self.pair)
+
+    @cached_property
+    def extensions(self) -> InverseBundle:
+        return build_extensions(self.pair, induced=self.induced)
+
+
+def _pair_analysis(p: PairInstance | PairAnalysis) -> PairAnalysis:
+    return p if isinstance(p, PairAnalysis) else PairAnalysis(p)
+
+
 # -- theorem verifiers ------------------------------------------------
 
 
-def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
+def verify_theorem_3_4(p: PairInstance | PairAnalysis) -> TheoremReport:
     """Exact index identities relating the pair index to S + T' and T + S'.
 
     Checks, with the default (pseudoinverse) extensions:
@@ -271,9 +302,9 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
       4. index(S + T') = index(S1 + T') where S1 lifts S~ and vanishes on
          R(TS); rank(S - S1) <= dim R(ST) + dim R(TS)
     """
-    defects = pair_defects(p)
-    ind = induced_pair(p)
-    bundle = build_extensions(p, induced=ind)
+    analysis = _pair_analysis(p)
+    p, defects, ind = analysis.pair, analysis.defects, analysis.induced
+    bundle = analysis.extensions
     s_plus = p.s + bundle.t_prime
     t_plus = p.t + bundle.s_prime
     _, _, index_s_plus = fredholm_data(s_plus)
@@ -316,7 +347,9 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
     )
 
 
-def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> TheoremReport:
+def verify_theorem_3_6(
+    p: PairInstance | PairAnalysis, b: InverseBundle | None = None
+) -> TheoremReport:
     """Laplacian-type operators built from the pair and its inverse bundle.
 
     V^2 must be block diagonal with blocks (T+S')(S+T') and (S+T')(T+S').
@@ -325,17 +358,17 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
     quotient Laplacians equal to a and c) are asserted only for
     chain-compatible bundles, and merely reported otherwise.
     """
-    defects = pair_defects(p)
-    ind = induced_pair(p)
+    analysis = _pair_analysis(p)
+    p, defects, ind = analysis.pair, analysis.defects, analysis.induced
     if b is None:
-        b = build_extensions(p, induced=ind)
+        b = analysis.extensions
     v = build_v(p, b)
     v2 = v @ v
     dx, dy = p.dim_x, p.dim_y
-    xx_block = RatMatrix(dx, dx, [v2.row(i)[:dx] for i in range(dx)])
-    xy_block = RatMatrix(dx, dy, [v2.row(i)[dx:] for i in range(dx)])
-    yx_block = RatMatrix(dy, dx, [v2.row(dx + i)[:dx] for i in range(dy)])
-    yy_block = RatMatrix(dy, dy, [v2.row(dx + i)[dx:] for i in range(dy)])
+    xx_block = RatMatrix._of(dx, dx, [v2.row(i)[:dx] for i in range(dx)])
+    xy_block = RatMatrix._of(dx, dy, [v2.row(i)[dx:] for i in range(dx)])
+    yx_block = RatMatrix._of(dy, dx, [v2.row(dx + i)[:dx] for i in range(dy)])
+    yy_block = RatMatrix._of(dy, dy, [v2.row(dx + i)[dx:] for i in range(dy)])
     s_plus = p.s + b.t_prime
     t_plus = p.t + b.s_prime
     block_diagonal = (

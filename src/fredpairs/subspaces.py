@@ -8,10 +8,11 @@ choice in the package deterministic.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError
-from .matrices import RatMatrix, vstack
+from .matrices import _ONE, _ZERO, RatMatrix, block, vstack
 
 
 @dataclass(frozen=True)
@@ -23,9 +24,7 @@ class Subspace:
     def spanned_by(rows: RatMatrix) -> "Subspace":
         """Canonicalize a spanning set (rows of a matrix) into a Subspace."""
         result = rows.rref()
-        basis = RatMatrix(
-            result.rank, rows.cols, [result.reduced.row(i) for i in range(result.rank)]
-        )
+        basis = RatMatrix._of(result.rank, rows.cols, result.reduced.entries[: result.rank])
         return Subspace(rows.cols, basis)
 
     @staticmethod
@@ -51,9 +50,22 @@ class Subspace:
         return Subspace.spanned_by(vstack(self.basis, other.basis))
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection, via orthogonal complements: U & V = (U^o + V^o)^o."""
+        """Intersection by Zassenhaus' sum-intersection elimination.
+
+        The rows of [[U, U], [V, 0]] span pairs (u + v, u); the reduced rows
+        whose left half vanishes, those pivoting in column n or later, carry
+        exactly the u in U & V.  Their right halves are already reduced
+        echelon rows, so they are the canonical basis with no second rref.
+        """
         self._require_same_ambient(other)
-        return orthogonal_complement(orthogonal_complement(self) + orthogonal_complement(other))
+        n = self.ambient_dim
+        if not self.dim or not other.dim:
+            return Subspace.zero(n)
+        u, v = self.basis, other.basis
+        result = block([[u, u], [v, RatMatrix.zero(v.rows, n)]]).rref()
+        first = bisect_left(result.pivot_columns, n)
+        rows = [row[n:] for row in result.reduced.entries[first : result.rank]]
+        return Subspace(n, RatMatrix._of(len(rows), n, rows))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
@@ -95,12 +107,12 @@ def kernel_basis(a: RatMatrix) -> Subspace:
     for free in range(a.cols):
         if free in pivot_set:
             continue
-        v = [0] * a.cols
-        v[free] = 1
+        v = [_ZERO] * a.cols
+        v[free] = _ONE
         for r, p in enumerate(pivots):
             v[p] = -red[r, free]
         vectors.append(v)
-    return Subspace.spanned_by(RatMatrix(len(vectors), a.cols, vectors))
+    return Subspace.spanned_by(RatMatrix._of(len(vectors), a.cols, vectors))
 
 
 def image_basis(a: RatMatrix) -> Subspace:
@@ -164,12 +176,16 @@ def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure
     """Factor A through the two quotients.
 
     Requires A(killed_dom) contained in killed_cod; the returned map A~
-    satisfies A~ @ projection_dom = projection_cod @ A exactly.
+    satisfies A~ @ projection_dom = projection_cod @ A exactly.  That square
+    is the test of the requirement: section_dom @ projection_dom is the
+    orthogonal projector with kernel killed_dom and the kernel of
+    projection_cod is killed_cod, so the square commutes exactly when A maps
+    killed_dom into killed_cod.
     """
     if a.cols != q_dom.ambient_dim or a.rows != q_cod.ambient_dim:
         raise DimensionError("matrix shape does not match the quotient structures")
-    if not q_cod.killed.contains(push_image(a, q_dom.killed)):
+    projected = q_cod.projection @ a
+    a_tilde = projected @ q_dom.section
+    if a_tilde @ q_dom.projection != projected:
         raise PreconditionError("A does not map killed_dom into killed_cod")
-    a_tilde = q_cod.projection @ a @ q_dom.section
-    assert a_tilde @ q_dom.projection == q_cod.projection @ a
     return a_tilde

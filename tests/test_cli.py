@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fredpairs import cli
 from fredpairs.cli import main
 
 W2 = {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}
@@ -147,3 +148,28 @@ class TestPinv:
         code, out, _ = run(capsys, ["pinv", write(tmp_path, "m.json", [[0, 0], [0, 0]])])
         assert code == 0
         assert json.loads(out) == [[0, 0], [0, 0]]
+
+
+class TestParser:
+    def test_built_once_per_process(self, tmp_path, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        path = write(tmp_path, "w2.json", W2)
+        first = run(capsys, ["verify", "--thm34", path])
+        second = run(capsys, ["verify", "--thm34", path])
+        assert built == [1]
+        assert first == second and first[0] == 0 and first[1]
+
+    def test_parse_keeps_no_state(self, tmp_path, capsys):
+        path = write(tmp_path, "w2.json", W2)
+        _, one, _ = run(capsys, ["verify", "--thm34", path])
+        _, both, _ = run(capsys, ["verify", path])
+        _, again, _ = run(capsys, ["verify", "--thm34", path])
+        assert one == again != both

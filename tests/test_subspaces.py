@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _reference_subspaces as reference
 from fredpairs import (
     DimensionError,
     PreconditionError,
@@ -20,6 +23,31 @@ from conftest import mat
 
 def span(rows, cols=None):
     return Subspace.spanned_by(mat(rows, cols=cols))
+
+
+entries = st.sampled_from([0, 0, 0, 1, -1, 2, -3, "1/2", "-5/3"])
+
+
+@st.composite
+def spanning_sets(draw, n):
+    """A subspace of Q^n from up to n + 2 rows, often with dependent rows."""
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n + 2))
+    if len(rows) >= 2 and draw(st.booleans()):
+        first_two = mat(rows[:2], cols=n)
+        rows.append([a + b for a, b in zip(first_two.row(0), first_two.row(1))])
+    return Subspace.spanned_by(mat(rows, cols=n))
+
+
+@st.composite
+def subspace_pairs(draw, max_dim=6):
+    n = draw(st.integers(0, max_dim))
+    u = draw(spanning_sets(n))
+    kind = draw(st.sampled_from(["random", "zero", "full", "same"]))
+    if kind == "random":
+        v = draw(spanning_sets(n))
+    else:
+        v = {"zero": Subspace.zero(n), "full": Subspace.full(n), "same": u}[kind]
+    return (v, u) if draw(st.booleans()) else (u, v)
 
 
 class TestKernelAndImage:
@@ -63,6 +91,18 @@ class TestLattice:
             u = image_basis(random_matrix(cfg, 5, cols_u, rng.randint(0, min(3, cols_u)), rng))
             v = image_basis(random_matrix(cfg, 5, cols_v, rng.randint(0, min(3, cols_v)), rng))
             assert u.dim + v.dim == (u + v).dim + (u & v).dim
+
+    @settings(max_examples=150, deadline=None)
+    @given(subspace_pairs())
+    def test_meet_matches_the_complement_formula(self, pair):
+        u, v = pair
+        meet = u & v
+        assert meet == reference.meet(u, v)
+        assert meet.dim == u.dim + v.dim - (u + v).dim
+        assert u.contains(meet) and v.contains(meet)
+
+    def test_meet_of_ambient_zero(self):
+        assert Subspace.zero(0) & Subspace.full(0) == Subspace.zero(0)
 
     def test_contains(self):
         assert Subspace.full(2).contains(span([[1, 1]]))
