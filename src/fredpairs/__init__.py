@@ -13,7 +13,13 @@ from .chains import (
     verify_theorem_4_2,
     verify_theorem_4_4,
 )
-from .errors import DimensionError, FredpairsError, InputError, PreconditionError
+from .errors import (
+    DimensionError,
+    FredpairsError,
+    InputError,
+    InvariantError,
+    PreconditionError,
+)
 from .generators import GenConfig, SplitMix64, random_chain, random_matrix, random_pair
 from .matrices import RankFactorization, RatMatrix, block, direct_sum, hstack, vstack
 from .pairs import (

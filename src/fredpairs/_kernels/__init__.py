@@ -1,7 +1,7 @@
 """The two hot-loop kernels: exact row reduction and matrix multiplication.
 
-One backend, ``_pure``, works on Python ints inside each call (see its
-docstring); ``BACKEND`` names it.
+One backend, ``_pure``, takes and returns integer rows (see its docstring);
+``BACKEND`` names it.
 """
 
 from ._pure import mat_mul, rref_rows

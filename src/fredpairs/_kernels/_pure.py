@@ -1,10 +1,9 @@
 """Exact kernels on integers: fraction-free Gauss-Jordan reduction and matmul.
 
-Both kernels take and return lists of ``Fraction`` rows, but work on plain
-Python ints inside each call: every row (and, for ``mat_mul``, every column of
-the right factor) is scaled by the lcm of its denominators once, the loop runs
-on integers, and ``Fraction`` objects are built only for the result.  The
-integer copies are local to the call.
+Both kernels take and return lists of integer rows.  A rational matrix
+reaches them as integer rows over one common denominator (see
+``fredpairs.matrices``), so neither kernel sees a ``Fraction``: the caller
+keeps track of the denominator.
 
 The elimination is fraction-free in the sense of E. H. Bareiss (1968),
 integer-preserving Gaussian elimination, but keeps entries small by dividing
@@ -13,28 +12,22 @@ Bareiss' exact division would also rescale every row whose entry in the
 pivot column is already zero.
 """
 
-from fractions import Fraction
-from math import gcd, lcm
-
-_ZERO = Fraction(0)
-
-
-def _integer_row(row):
-    """Return ``(den, ints)`` with ``ints[j] == row[j] * den`` and ``den`` minimal."""
-    den = lcm(*[e.denominator for e in row])
-    return den, [e.numerator * (den // e.denominator) for e in row]
+from math import gcd
 
 
 def rref_rows(rows, ncols):
-    """Reduce ``rows`` (lists of Fractions) to reduced row-echelon form.
+    """Row-reduce integer ``rows`` to reduced row-echelon form, up to row scaling.
 
     Returns ``(new_rows, pivots)`` where ``pivots`` lists the pivot column of
-    each nonzero row in order.  Every entry of ``new_rows`` is a ``Fraction``.
-    The input lists are not modified.
+    each nonzero row in order.  Nonzero row i of ``new_rows`` is the i-th row
+    of the rref scaled to primitive integers (the gcd of its entries is 1)
+    with a positive entry in column ``pivots[i]``; the rows past the rank are
+    zero.  The input rows are not modified, but an output row may be an input
+    row that needed no change.
     """
     # Scaling a row by a nonzero constant leaves the row space, hence the
-    # rref, unchanged, so each row is cleared of denominators on its own.
-    irows = [_integer_row(row)[1] for row in rows]
+    # rref, unchanged, which is why integer rows suffice.
+    irows = list(rows)
     m = len(irows)
     pivots = []
     r = 0
@@ -66,31 +59,30 @@ def rref_rows(rows, ncols):
         if r == m:
             break
     out = []
-    for i, row in enumerate(irows):
-        if i < r:
-            p = row[pivots[i]]
-            out.append([Fraction(x, p) if x else _ZERO for x in row])
-        else:
-            out.append([_ZERO] * ncols)
+    for i in range(r):
+        row = irows[i]
+        g = gcd(*row)
+        if row[pivots[i]] < 0:
+            g = -g
+        out.append(row if g == 1 else [x // g for x in row])
+    out.extend([0] * ncols for _ in range(m - r))
     return out, pivots
 
 
 def mat_mul(a, b, m, k, n):
-    """Multiply an m x k by a k x n list-of-rows matrix of Fractions.
+    """Multiply an m x k by a k x n matrix, both lists of integer rows.
 
-    Row i of ``a`` is scaled by ``da_i`` and column j of ``b`` by ``db_j`` to
-    integers, so entry (i, j) of the product is ``num / (da_i * db_j)`` with
-    ``num`` an integer dot product.  Each integer output row is accumulated
-    as a sum of integer rows of ``b``, skipping the zero entries of ``a``.
+    Each output row is accumulated as a sum of rows of ``b``, skipping the
+    zero entries of ``a``.  Every output row is a new list.
     """
-    dbs = [lcm(*[row[j].denominator for row in b]) for j in range(n)]
-    ib = [[e.numerator * (d // e.denominator) for e, d in zip(row, dbs)] for row in b]
     out = []
     for row in a:
-        da, ia = _integer_row(row)
-        acc = [0] * n
-        for x, brow in zip(ia, ib):
+        acc = None
+        for x, brow in zip(row, b):
             if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append([Fraction(s, da * db) if s else _ZERO for s, db in zip(acc, dbs)])
+                if acc is None:
+                    acc = [x * y for y in brow]
+                else:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append([0] * n if acc is None else acc)
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, InvariantError
 from .matrices import RatMatrix, block
 from .pairs import PairAnalysis, PairInstance, TheoremReport, fredholm_data
 from .subspaces import QuotientStructure, image_basis, induced_map, kernel_basis, quotient
@@ -214,9 +214,9 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     """Quotient each X_p by R(d_{p+1} d_{p+2}) and factor the maps through.
 
     The induced family is a complex; its per-degree pseudoinverses compose to
-    zero as well and are normalized generalized inverses.  All of this is
-    asserted.  The extended inverse d'_p = section_p @ d~'_p @ projection_{p-1}
-    vanishes on R(d_p d_{p+1}).
+    zero as well and are normalized generalized inverses.  Both complexes are
+    checked; a failure raises ``InvariantError``.  The extended inverse
+    d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     n = c.top_degree
     quotients = tuple(
@@ -227,8 +227,10 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     )
     inverses_tilde = tuple(m.pseudoinverse() for m in maps_tilde)
     for i in range(len(maps_tilde) - 1):
-        assert (maps_tilde[i] @ maps_tilde[i + 1]).is_zero()
-        assert (inverses_tilde[i + 1] @ inverses_tilde[i]).is_zero()
+        if not (maps_tilde[i] @ maps_tilde[i + 1]).is_zero():
+            raise InvariantError(f"induced maps {i + 1} and {i + 2} do not compose to zero")
+        if not (inverses_tilde[i + 1] @ inverses_tilde[i]).is_zero():
+            raise InvariantError(f"inverses {i + 2} and {i + 1} do not compose to zero")
     extended = tuple(
         quotients[p].section @ inverses_tilde[p - 1] @ quotients[p - 1].projection
         for p in range(1, n + 1)

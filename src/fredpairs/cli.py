@@ -9,7 +9,8 @@ Subcommands:
 
 All standard output is JSON (one document, or one document per line in fuzz
 mode); diagnostics go to standard error.  Exit codes: 0 success / all checks
-passed, 1 a verification failed, 2 malformed input.
+passed, 1 a verification failed, 2 malformed input, 3 an internal invariant
+failed (a bug in the package).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .chains import (
     verify_theorem_4_2,
     verify_theorem_4_4,
 )
-from .errors import FredpairsError, InputError
+from .errors import FredpairsError, InputError, InvariantError
 from .generators import GenConfig, SplitMix64, child_seed, random_chain, random_pair
 from .matrices import RatMatrix
 from .pairs import PairAnalysis, PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
@@ -244,6 +245,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError as exc:
+        print(f"invariant failed: {exc}", file=sys.stderr)
+        return 3
     except FredpairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,3 +15,10 @@ class PreconditionError(FredpairsError):
 
 class InputError(FredpairsError):
     """Malformed external input (JSON files, CLI arguments)."""
+
+
+class InvariantError(FredpairsError):
+    """An internal invariant failed: a bug in the package, not bad input.
+
+    Raised by explicit checks, so it fires under ``python -O`` as well.
+    """

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import ChainInstance
-from .errors import PreconditionError
+from .errors import InvariantError, PreconditionError
 from .matrices import RatMatrix
 from .pairs import PairInstance
 from .subspaces import kernel_basis
@@ -137,9 +137,10 @@ def random_pair(cfg: GenConfig, rng: SplitMix64 | None = None) -> PairInstance:
     pair = PairInstance(dim_x=dim_x, dim_y=dim_y, s=s, t=t)
     st_rank = (pair.s @ pair.t).rank
     ts_rank = (pair.t @ pair.s).rank
-    assert st_rank <= cfg.rank_budget and ts_rank <= cfg.rank_budget
-    if cfg.complex_only:
-        assert st_rank == 0 and ts_rank == 0
+    if max(st_rank, ts_rank) > cfg.rank_budget:
+        raise InvariantError(f"pair compositions have ranks {st_rank}, {ts_rank} over the budget")
+    if cfg.complex_only and (st_rank or ts_rank):
+        raise InvariantError("a complex-only pair has nonzero compositions")
     return pair
 
 
@@ -182,7 +183,8 @@ def random_chain(cfg: GenConfig, length: int, rng: SplitMix64 | None = None) -> 
     chain = ChainInstance(tuple(dims), tuple(maps))
     for p in range(1, length):
         comp_rank = (chain.delta(p) @ chain.delta(p + 1)).rank
-        assert comp_rank <= cfg.rank_budget
-        if cfg.complex_only:
-            assert comp_rank == 0
+        if comp_rank > cfg.rank_budget:
+            raise InvariantError(f"maps {p}, {p + 1} compose to rank {comp_rank} over the budget")
+        if cfg.complex_only and comp_rank:
+            raise InvariantError(f"maps {p}, {p + 1} of a complex-only chain compose to nonzero")
     return chain

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DimensionError, InputError, PreconditionError
+from .errors import DimensionError, InputError, InvariantError, PreconditionError
 from .matrices import RatMatrix, block, direct_sum
 from .subspaces import (
     ComplementWitness,
@@ -171,13 +171,15 @@ def induced_pair(p: PairInstance) -> InducedPair:
     """Quotient X by R(TS) and Y by R(ST) and factor S, T through.
 
     The induced maps always compose to zero in both orders, and the kernel of
-    S~ is the projected image of N(S) + R(T); both facts are asserted.
+    S~ is the projected image of N(S) + R(T).  That the induced maps compose
+    to zero is checked; a failure raises ``InvariantError``.
     """
     q_x = quotient(p.dim_x, image_basis(p.t @ p.s))
     q_y = quotient(p.dim_y, image_basis(p.s @ p.t))
     s_tilde = induced_map(p.s, q_x, q_y)
     t_tilde = induced_map(p.t, q_y, q_x)
-    assert (s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()
+    if not ((s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()):
+        raise InvariantError("the induced pair is not a complex")
     return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
 
 
@@ -188,12 +190,14 @@ def regularity_witness(
 
     The generalized inverse determined by the two orthogonal complements is
     the pseudoinverse: gi @ A projects onto the kernel complement along N(A),
-    A @ gi projects onto R(A) along its complement.
+    A @ gi projects onto R(A) along its complement.  ``InvariantError`` is
+    raised if gi fails the Penrose identity A gi A = A.
     """
     kernel_comp = complement(kernel_basis(a), Subspace.full(a.cols))
     range_comp = complement(image_basis(a), Subspace.full(a.rows))
     gi = a.pseudoinverse()
-    assert a @ gi @ a == a
+    if a @ gi @ a != a:
+        raise InvariantError("the pseudoinverse fails A @ gi @ A == A")
     return kernel_comp, range_comp, gi
 
 
@@ -365,10 +369,11 @@ def verify_theorem_3_6(
     v = build_v(p, b)
     v2 = v @ v
     dx, dy = p.dim_x, p.dim_y
-    xx_block = RatMatrix._of(dx, dx, [v2.row(i)[:dx] for i in range(dx)])
-    xy_block = RatMatrix._of(dx, dy, [v2.row(i)[dx:] for i in range(dx)])
-    yx_block = RatMatrix._of(dy, dx, [v2.row(dx + i)[:dx] for i in range(dy)])
-    yy_block = RatMatrix._of(dy, dy, [v2.row(dx + i)[dx:] for i in range(dy)])
+    top, bottom, den = v2.num[:dx], v2.num[dx:], v2.den
+    xx_block = RatMatrix._canonical(dx, dx, [row[:dx] for row in top], den)
+    xy_block = RatMatrix._canonical(dx, dy, [row[dx:] for row in top], den)
+    yx_block = RatMatrix._canonical(dy, dx, [row[:dx] for row in bottom], den)
+    yy_block = RatMatrix._canonical(dy, dy, [row[dx:] for row in bottom], den)
     s_plus = p.s + b.t_prime
     t_plus = p.t + b.s_prime
     block_diagonal = (

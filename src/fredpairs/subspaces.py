@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError
-from .matrices import _ONE, _ZERO, RatMatrix, block, vstack
+from .matrices import RatMatrix, block, vstack
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,9 @@ class Subspace:
     def spanned_by(rows: RatMatrix) -> "Subspace":
         """Canonicalize a spanning set (rows of a matrix) into a Subspace."""
         result = rows.rref()
-        basis = RatMatrix._of(result.rank, rows.cols, result.reduced.entries[: result.rank])
-        return Subspace(rows.cols, basis)
+        red, rank = result.reduced, result.rank
+        # Dropping the zero rows past the rank keeps the rows canonical over red.den.
+        return Subspace(rows.cols, RatMatrix._raw(rank, rows.cols, red.num[:rank], red.den))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -55,7 +56,8 @@ class Subspace:
         The rows of [[U, U], [V, 0]] span pairs (u + v, u); the reduced rows
         whose left half vanishes, those pivoting in column n or later, carry
         exactly the u in U & V.  Their right halves are already reduced
-        echelon rows, so they are the canonical basis with no second rref.
+        echelon rows, so they are the canonical basis with no second rref;
+        only their common denominator may shrink.
         """
         self._require_same_ambient(other)
         n = self.ambient_dim
@@ -64,8 +66,9 @@ class Subspace:
         u, v = self.basis, other.basis
         result = block([[u, u], [v, RatMatrix.zero(v.rows, n)]]).rref()
         first = bisect_left(result.pivot_columns, n)
-        rows = [row[n:] for row in result.reduced.entries[first : result.rank]]
-        return Subspace(n, RatMatrix._of(len(rows), n, rows))
+        red = result.reduced
+        rows = [row[n:] for row in red.num[first : result.rank]]
+        return Subspace(n, RatMatrix._canonical(len(rows), n, rows, red.den))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
@@ -104,15 +107,16 @@ def kernel_basis(a: RatMatrix) -> Subspace:
     red, pivots = result.reduced, result.pivot_columns
     pivot_set = set(pivots)
     vectors = []
+    # Each vector is scaled by red.den to integers; scaling does not change the span.
     for free in range(a.cols):
         if free in pivot_set:
             continue
-        v = [_ZERO] * a.cols
-        v[free] = _ONE
+        v = [0] * a.cols
+        v[free] = red.den
         for r, p in enumerate(pivots):
-            v[p] = -red[r, free]
+            v[p] = -red.num[r][free]
         vectors.append(v)
-    return Subspace.spanned_by(RatMatrix._of(len(vectors), a.cols, vectors))
+    return Subspace.spanned_by(RatMatrix._raw(len(vectors), a.cols, vectors, 1))
 
 
 def image_basis(a: RatMatrix) -> Subspace:

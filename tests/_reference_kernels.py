@@ -1,8 +1,10 @@
 """Reference kernels for the parity tests in ``test_kernels.py``.
 
 Straightforward Gauss-Jordan reduction and matrix multiplication working
-directly on ``Fraction`` entries.  The library's integer kernels in
-``fredpairs._kernels`` must return equal results and equal pivots.
+directly on ``Fraction`` entries.  Given the same integers, the library's
+integer kernels in ``fredpairs._kernels`` must return the same product, and
+the same pivots and reduced rows once each nonzero row is divided by its
+pivot entry.
 """
 
 from fractions import Fraction

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -65,6 +66,14 @@ class TestPairReport:
         assert code == 2
         assert out == "" and "dim_x" in err
 
+    @pytest.mark.parametrize("cell", ["1/0", "1/2/3", "x", True, 1.5])
+    def test_bad_entries_rejected(self, tmp_path, capsys, cell):
+        obj = {"dim_x": 2, "dim_y": 1, "s": [[1, cell]], "t": [[0], [1]]}
+        code, out, err = run(capsys, ["pair-report", write(tmp_path, "bad.json", obj)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        code, out, err = run(capsys, ["pinv", write(tmp_path, "m.json", [[cell]])])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
 
 class TestChainReport:
     def test_non_complex(self, tmp_path, capsys):
@@ -131,6 +140,26 @@ class TestFuzz:
         code, out, _ = run(capsys, ["fuzz", "--count", "0"])
         assert code == 0
         assert json.loads(out)["summary"]["count"] == 0
+
+    # sha256 of the whole stdout: the bytes fuzz prints for a seed are a
+    # contract, so a change that alters them the same way on every run fails.
+    PINNED = [
+        (
+            ["--seed", "1", "--count", "100"],
+            "4cc9e5be0fb31bb76291188d245506768c2362f548f2d467dcdd6ba0dc6bdbab",
+        ),
+        (
+            ["--seed", "3", "--count", "20", "--max-dim", "16"],
+            "2d2b2fff31ee813cfbb479d4f7529f23f7f7ec04e8e66369285b1aff6f113884",
+        ),
+    ]
+
+    @pytest.mark.parametrize("flags, digest", PINNED, ids=["seed1-d6", "seed3-d16"])
+    def test_output_bytes_are_pinned(self, tmp_path, capsys, monkeypatch, flags, digest):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, ["fuzz", *flags])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPinv:

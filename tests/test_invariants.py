@@ -1,0 +1,135 @@
+"""Internal invariants are explicit checks that raise ``InvariantError``.
+
+They must hold under ``python -O`` too, and the CLI reports them with exit
+code 3, apart from 1 (a verifier check failed) and 2 (bad input).
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fredpairs
+from fredpairs import (
+    GenConfig,
+    InvariantError,
+    RatMatrix,
+    chains,
+    generators,
+    pairs,
+    quotient_chain,
+    random_chain,
+    random_pair,
+    regularity_witness,
+)
+from fredpairs.cli import main
+
+from conftest import mat
+
+# d_1 d_2 = 0 and both maps are nonzero, so quotient_chain composes two
+# nonzero pseudoinverses and checks that they compose to zero.
+CHAIN = {"dims": [1, 2, 1], "maps": [[[0, 1]], [[1], [0]]]}
+
+
+def off_in_one_entry(pseudoinverse):
+    def wrong(self):
+        good = pseudoinverse(self)
+        if not good.rows or not good.cols:
+            return good
+        unit = [[int(i == j == 0) for j in range(good.cols)] for i in range(good.rows)]
+        return good + RatMatrix(good.rows, good.cols, unit)
+
+    return wrong
+
+
+@pytest.fixture
+def wrong_pseudoinverse(monkeypatch):
+    monkeypatch.setattr(
+        RatMatrix, "pseudoinverse", off_in_one_entry(RatMatrix.pseudoinverse)
+    )
+
+
+def test_regularity_witness(wrong_pseudoinverse):
+    with pytest.raises(InvariantError, match="pseudoinverse"):
+        regularity_witness(mat([[1, 2], [2, 4]]))
+
+
+def test_quotient_chain(wrong_pseudoinverse):
+    with pytest.raises(InvariantError, match="inverses"):
+        quotient_chain(chains.ChainInstance.from_json_obj(CHAIN))
+
+
+def test_cli_exits_3(wrong_pseudoinverse, tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN))
+    assert main(["verify", str(path), "--thm42"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("invariant failed: ")
+
+
+def test_induced_pair(monkeypatch):
+    # an "induced map" that ignores its quotients leaves S~ T~ = S T != 0
+    monkeypatch.setattr(pairs, "induced_map", lambda a, q_dom, q_cod: a)
+    pair = pairs.PairInstance(1, 1, mat([[1]]), mat([[1]]))
+    with pytest.raises(InvariantError, match="complex"):
+        pairs.induced_pair(pair)
+
+
+def test_induced_chain_maps(monkeypatch):
+    monkeypatch.setattr(chains, "induced_map", lambda a, q_dom, q_cod: a)
+    chain = chains.ChainInstance((1, 1, 1), (mat([[1]]), mat([[1]])))
+    with pytest.raises(InvariantError, match="induced maps"):
+        quotient_chain(chain)
+
+
+def test_generator_budgets(monkeypatch):
+    # With a kernel basis that spans everything, the complex-only
+    # constructions no longer give maps that compose to zero.
+    def everything(a):
+        return fredpairs.Subspace.full(a.cols)
+
+    monkeypatch.setattr(generators, "kernel_basis", everything)
+    cfg = GenConfig(seed=0, max_dim=4, rank_budget=0, complex_only=True)
+    with pytest.raises(InvariantError):
+        for seed in range(20):
+            random_pair(dataclasses.replace(cfg, seed=seed))
+    with pytest.raises(InvariantError):
+        for seed in range(20):
+            random_chain(dataclasses.replace(cfg, seed=seed), 3)
+
+
+def test_checks_survive_optimized_python(tmp_path):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN))
+    code = (
+        "import sys\n"
+        "from fredpairs import InvariantError, RatMatrix, regularity_witness\n"
+        "from fredpairs.cli import main\n"
+        "print(__debug__)\n"
+        "good = RatMatrix.pseudoinverse\n"
+        "def wrong(self):\n"
+        "    g = good(self)\n"
+        "    unit = [[int(i == j == 0) for j in range(g.cols)] for i in range(g.rows)]\n"
+        "    return g + RatMatrix(g.rows, g.cols, unit)\n"
+        "RatMatrix.pseudoinverse = wrong\n"
+        "try:\n"
+        "    regularity_witness(RatMatrix.from_rows([[1, 2], [2, 4]]))\n"
+        "except InvariantError:\n"
+        "    print('InvariantError')\n"
+        "sys.stdout.flush()\n"
+        f"sys.exit(main(['verify', {str(path)!r}, '--thm42']))\n"
+    )
+    src = str(Path(fredpairs.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (done.returncode, done.stdout) == (3, "False\nInvariantError\n"), done.stderr
+    assert done.stderr.startswith("invariant failed: ")

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fredpairs import DimensionError, InputError, RatMatrix, direct_sum, hstack, vstack
+import _reference_kernels as reference
+from fredpairs import DimensionError, InputError, RatMatrix, block, direct_sum, hstack, vstack
 from fredpairs.generators import GenConfig, SplitMix64, random_matrix
 
 from conftest import mat
@@ -185,3 +187,198 @@ def test_splitmix_reference_values():
     rng = SplitMix64(1234567)
     assert rng.next_u64() == 6457827717110365317
     assert rng.next_u64() == 3203168211198807973
+
+
+# -- representation: integer rows over one canonical denominator --------
+
+scalars = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-(2**120), 2**120), st.integers(1, 2**100)),
+)
+
+
+def grid(rows, cols):
+    return st.lists(st.lists(scalars, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@st.composite
+def rat_matrices(draw, rows=None, cols=None, max_dim=4):
+    rows = draw(st.integers(0, max_dim)) if rows is None else rows
+    cols = draw(st.integers(0, max_dim)) if cols is None else cols
+    return RatMatrix(rows, cols, draw(grid(rows, cols)))
+
+
+@st.composite
+def same_shape(draw, count=2):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return [draw(rat_matrices(rows, cols)) for _ in range(count)]
+
+
+def canonical(m):
+    """den > 0, gcd(den, every entry) == 1, rows are int lists of the right shape."""
+    assert type(m.num) is list and len(m.num) == m.rows
+    assert all(type(row) is list and len(row) == m.cols for row in m.num)
+    assert all(type(x) is int for row in m.num for x in row)
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *[x for row in m.num for x in row]) == 1
+    return True
+
+
+def grid_of(m):
+    return [list(row) for row in m.entries]
+
+
+def plain_inverse(entries):
+    """Gauss-Jordan on [A | I] with the reference Fraction loops."""
+    n = len(entries)
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(entries)]
+    rows, pivots = reference.rref_rows(aug, 2 * n)
+    assert pivots == list(range(n))
+    return [row[n:] for row in rows]
+
+
+class TestRepresentation:
+    @settings(max_examples=80, deadline=None)
+    @given(same_shape(), scalars)
+    def test_entrywise_operations(self, pair, factor):
+        a, b = pair
+        for result, expected in [
+            (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
+            (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
+            (a.scale(factor), [[factor * x for x in r] for r in a.entries]),
+            (-a, [[-x for x in r] for r in a.entries]),
+            (a.transpose(), [list(c) for c in zip(*a.entries)] if a.rows else [[]] * a.cols),
+        ]:
+            assert canonical(result)
+            assert grid_of(result) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product(self, data):
+        m, k, n = (data.draw(st.integers(0, 4)) for _ in range(3))
+        a, b = data.draw(rat_matrices(m, k)), data.draw(rat_matrices(k, n))
+        product = a @ b
+        assert canonical(product)
+        assert grid_of(product) == reference.mat_mul(grid_of(a), grid_of(b), m, k, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_stacking(self, data):
+        rows, c1, c2 = (data.draw(st.integers(0, 3)) for _ in range(3))
+        r2 = data.draw(st.integers(0, 3))
+        a, b = data.draw(rat_matrices(rows, c1)), data.draw(rat_matrices(rows, c2))
+        c, d = data.draw(rat_matrices(r2, c1)), data.draw(rat_matrices(r2, c2))
+        h, v, blk = hstack(a, b), vstack(a, c), block([[a, b], [c, d]])
+        for result in (h, v, blk):
+            assert canonical(result)
+        assert grid_of(h) == [x + y for x, y in zip(grid_of(a), grid_of(b))]
+        assert grid_of(v) == grid_of(a) + grid_of(c)
+        assert grid_of(blk) == [x + y for x, y in zip(grid_of(v), grid_of(vstack(b, d)))]
+
+    @settings(max_examples=80, deadline=None)
+    @given(rat_matrices())
+    def test_rref_and_pseudoinverse(self, a):
+        result = a.rref()
+        rows, pivots = reference.rref_rows(grid_of(a), a.cols)
+        assert canonical(result.reduced)
+        assert grid_of(result.reduced) == rows and list(result.pivot_columns) == pivots
+        # the four Penrose identities, in plain Fractions, pin down the pseudoinverse
+        g = a.pseudoinverse()
+        assert canonical(g)
+        x, y = grid_of(a), grid_of(g)
+        m, n = a.shape
+
+        def mul(p, q, rows, inner, cols):
+            return reference.mat_mul(p, q, rows, inner, cols)
+
+        xy, yx = mul(x, y, m, n, m), mul(y, x, n, m, n)
+        assert mul(xy, x, m, m, n) == x and mul(yx, y, n, n, m) == y
+        assert xy == [list(c) for c in zip(*xy)] and yx == [list(c) for c in zip(*yx)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: rat_matrices(n, n)))
+    def test_inverse(self, a):
+        if a.rank < a.rows:
+            with pytest.raises(DimensionError):
+                a.inverse()
+            return
+        inv = a.inverse()
+        assert canonical(inv)
+        assert grid_of(inv) == plain_inverse(grid_of(a))
+
+    def test_singular_matrices_are_refused(self):
+        # [A | I] always has rank n; A is invertible only if no pivot lies in I
+        for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 1]]):
+            with pytest.raises(DimensionError):
+                mat(rows).inverse()
+        assert RatMatrix.zero(0, 0).inverse() == RatMatrix.zero(0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rat_matrices())
+    def test_json_round_trip(self, a):
+        back = RatMatrix.from_json_obj(a.to_json_obj(), rows=a.rows, cols=a.cols)
+        assert canonical(back) and back == a and grid_of(back) == grid_of(a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(same_shape())
+    def test_equal_exactly_when_entries_equal(self, pair):
+        a, b = pair
+        assert (a == b) == (a.entries == b.entries)
+        assert a == RatMatrix(a.rows, a.cols, a.entries)
+        assert hash(a) == hash(RatMatrix(a.rows, a.cols, a.entries))
+
+    def test_equal_matrices_hash_equal_when_small(self):
+        values = [0, 1, -1, "1/2", "2/4", "-3/6", "6/3", 2]
+        cells = [(x, y) for x in values for y in values]
+        mats = [RatMatrix(1, 2, [cell]) for cell in cells]
+        for a in mats:
+            for b in mats:
+                assert (a == b) == (a.entries == b.entries)
+                if a == b:
+                    assert hash(a) == hash(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rat_matrices())
+    def test_double_is_not_equal(self, a):
+        double = a.scale(2)
+        assert canonical(double)
+        assert (double == a) == a.is_zero()
+        if a.den % 2 == 0:
+            # same numerators, half the denominator
+            assert double.num == a.num and double.den * 2 == a.den
+
+    def test_same_num_different_den(self):
+        a = mat([["1/2", "3/2"]])
+        double = a.scale(2)
+        assert a.num == double.num == [[1, 3]]
+        assert (a.den, double.den) == (2, 1)
+        assert a != double and double == mat([[1, 3]])
+
+
+class TestParse:
+    WIDE = "1" + "0" * 120
+
+    def test_json_and_constructor_agree(self):
+        cells = [3, -7, "4/2", "6/-4", "-0/3", "0", self.WIDE, f"-{self.WIDE}/3", f"2/{self.WIDE}"]
+        expected = [
+            Fraction(3), Fraction(-7), Fraction(2), Fraction(-3, 2), Fraction(0), Fraction(0),
+            Fraction(int(self.WIDE)), Fraction(-int(self.WIDE), 3), Fraction(2, int(self.WIDE)),
+        ]
+        parsed = RatMatrix.from_json_obj([cells])
+        built = RatMatrix(1, len(cells), [cells])
+        assert canonical(parsed) and canonical(built)
+        assert parsed == built == RatMatrix(1, len(cells), [expected])
+        assert list(parsed.row(0)) == expected
+        assert hash(parsed) == hash(built)
+
+    @pytest.mark.parametrize("cell", ["4/2", "6/-4", "-0/3", "12/8"])
+    def test_reduced_single_entries(self, cell):
+        parsed = RatMatrix.from_json_obj([[cell]])
+        assert canonical(parsed)
+        assert parsed == RatMatrix(1, 1, [[Fraction(*map(int, cell.split("/")))]])
+
+    @pytest.mark.parametrize("cell", ["1/0", "1/2/3", "x", "", True, 1.5, None, [1]])
+    def test_rejections(self, cell):
+        with pytest.raises(InputError):
+            RatMatrix.from_json_obj([[cell]])
