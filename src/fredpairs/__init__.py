@@ -2,7 +2,6 @@
 
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .chains import (
-    ChainAnalysis,
     ChainDefects,
     ChainInstance,
     QuotientChain,
@@ -25,7 +24,6 @@ from .matrices import RankFactorization, RatMatrix, block, direct_sum, hstack, v
 from .pairs import (
     InducedPair,
     InverseBundle,
-    PairAnalysis,
     PairDefects,
     PairInstance,
     TheoremReport,

@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError
 from .matrices import RatMatrix, block
-from .pairs import PairAnalysis, PairInstance, TheoremReport, fredholm_data
+from .pairs import PairInstance, TheoremReport, fredholm_data
 from .subspaces import QuotientStructure, image_basis, induced_map, kernel_basis, quotient
 
 
@@ -36,18 +36,28 @@ class ChainInstance:
                     f"map {p} must be {self.dims[p - 1]}x{self.dims[p]}, got {m.shape}"
                 )
 
+    # Derived objects, kept on the instance as on PairInstance.
+
+    @cached_property
+    def defects(self) -> "ChainDefects":
+        return chain_defects(self)
+
+    @cached_property
+    def quotient(self) -> "QuotientChain":
+        return quotient_chain(self)
+
+    @cached_property
+    def folded(self) -> PairInstance:
+        """The folded pair; the pair verifiers run on it share its own objects."""
+        return fold_to_pair(self)
+
     @property
     def top_degree(self) -> int:
         return len(self.dims) - 1
 
     def delta(self, p: int) -> RatMatrix:
         """d_p with the zero-extension convention outside 1..n."""
-        n = self.top_degree
-        if 1 <= p <= n:
-            return self.maps[p - 1]
-        rows = self.dims[p - 1] if 0 <= p - 1 <= n else 0
-        cols = self.dims[p] if 0 <= p <= n else 0
-        return RatMatrix.zero(rows, cols)
+        return _degree_map(self.maps, self.dims, p)
 
     def is_complex(self) -> bool:
         return all(
@@ -78,6 +88,21 @@ class ChainInstance:
             for p, m in enumerate(maps, start=1)
         ]
         return cls(tuple(dims), tuple(parsed))
+
+
+def _degree_map(maps, dims, p: int, upward: bool = False) -> RatMatrix:
+    """maps[p-1], one of a family of maps between degrees p and p-1, p = 1..n.
+
+    ``dims`` are the dimensions of degrees 0..n.  Outside 1..n the map is zero,
+    and a degree outside 0..n is the zero space.  A downward map goes from
+    degree p to p-1, an upward one from p-1 to p.
+    """
+    if 1 <= p <= len(maps):
+        return maps[p - 1]
+    n = len(dims) - 1
+    below = dims[p - 1] if 0 <= p - 1 <= n else 0
+    here = dims[p] if 0 <= p <= n else 0
+    return RatMatrix.zero(here, below) if upward else RatMatrix.zero(below, here)
 
 
 @dataclass(frozen=True)
@@ -134,6 +159,8 @@ def _fold_map(c: ChainInstance, source: list[int], target: list[int], blocks) ->
     ``blocks(row_p, col_p)`` returns the block or None for zero.  Degrees are
     laid out in ascending order, which makes folding bit-exact.
     """
+    if not target or not source:
+        return RatMatrix.zero(sum(c.dims[q] for q in target), sum(c.dims[p] for p in source))
     grid = []
     for q in target:
         row = []
@@ -141,8 +168,6 @@ def _fold_map(c: ChainInstance, source: list[int], target: list[int], blocks) ->
             m = blocks(q, p)
             row.append(m if m is not None else RatMatrix.zero(c.dims[q], c.dims[p]))
         grid.append(row)
-    if not target or not source:
-        return RatMatrix.zero(sum(c.dims[q] for q in target), sum(c.dims[p] for p in source))
     return block(grid)
 
 
@@ -155,39 +180,10 @@ def fold_to_pair(c: ChainInstance) -> PairInstance:
     return PairInstance(dim_x=s.cols, dim_y=s.rows, s=s, t=t)
 
 
-class ChainAnalysis:
-    """The derived objects of one chain, each computed on first use and kept.
-
-    ``folded`` is the :class:`PairAnalysis` of the folded pair, so the
-    chain verifiers and the pair verifiers run on the fold share its defects
-    and extensions.
-    """
-
-    def __init__(self, chain: ChainInstance):
-        self.chain = chain
-
-    @cached_property
-    def defects(self) -> ChainDefects:
-        return chain_defects(self.chain)
-
-    @cached_property
-    def quotient(self) -> QuotientChain:
-        return quotient_chain(self.chain)
-
-    @cached_property
-    def folded(self) -> PairAnalysis:
-        return PairAnalysis(fold_to_pair(self.chain))
-
-
-def _chain_analysis(c: ChainInstance | ChainAnalysis) -> ChainAnalysis:
-    return c if isinstance(c, ChainAnalysis) else ChainAnalysis(c)
-
-
-def verify_remark_2_3(c: ChainInstance | ChainAnalysis) -> TheoremReport:
+def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
     """Chain index equals the folded pair index; the per-degree composition
     defects sum to dim R(ST) + dim R(TS) of the folded pair."""
-    analysis = _chain_analysis(c)
-    c, defects, p_defects = analysis.chain, analysis.defects, analysis.folded.defects
+    defects, p_defects = c.defects, c.folded.defects
     euler = sum(d if p % 2 == 0 else -d for p, d in enumerate(c.dims))
     checks = {
         "index_matches_pair": defects.index == p_defects.index,
@@ -245,12 +241,7 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
 
 def _delta_prime(c: ChainInstance, qc: QuotientChain, p: int) -> RatMatrix:
     """d'_p: X_{p-1} -> X_p with the zero convention outside 1..n."""
-    n = c.top_degree
-    if 1 <= p <= n:
-        return qc.extended_inverses[p - 1]
-    rows = c.dims[p] if 0 <= p <= n else 0
-    cols = c.dims[p - 1] if 0 <= p - 1 <= n else 0
-    return RatMatrix.zero(rows, cols)
+    return _degree_map(qc.extended_inverses, c.dims, p, upward=True)
 
 
 def _parity_operator(c: ChainInstance, qc: QuotientChain, source: list[int], target: list[int]) -> RatMatrix:
@@ -266,24 +257,23 @@ def _parity_operator(c: ChainInstance, qc: QuotientChain, source: list[int], tar
     return _fold_map(c, source, target, blocks)
 
 
-def verify_theorem_4_2(c: ChainInstance | ChainAnalysis) -> TheoremReport:
+def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
     """index of the even-to-odd operator (+)(d_p + d'_{p+1}) equals the chain
     index and the negative of its odd-to-even sibling; both coincide exactly
     with S + T' and T + S' of the folded pair under default extensions."""
-    analysis = _chain_analysis(c)
-    c, defects, qc = analysis.chain, analysis.defects, analysis.quotient
+    defects, qc = c.defects, c.quotient
     even, odd = _even_degrees(c), _odd_degrees(c)
     e = _parity_operator(c, qc, even, odd)
     o = _parity_operator(c, qc, odd, even)
     _, _, index_e = fredholm_data(e)
     _, _, index_o = fredholm_data(o)
 
-    folded, bundle = analysis.folded.pair, analysis.folded.extensions
+    bundle = c.folded.extensions
     checks = {
         "index_even": index_e == defects.index,
         "index_odd": index_o == -defects.index,
-        "even_matches_folded": e == folded.s + bundle.t_prime,
-        "odd_matches_folded": o == folded.t + bundle.s_prime,
+        "even_matches_folded": e == bundle.s_plus,
+        "odd_matches_folded": o == bundle.t_plus,
     }
     return TheoremReport(
         name="theorem_4_2",
@@ -297,33 +287,24 @@ def verify_theorem_4_2(c: ChainInstance | ChainAnalysis) -> TheoremReport:
     )
 
 
-def verify_theorem_4_4(c: ChainInstance | ChainAnalysis) -> TheoremReport:
+def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
     """Per-degree Laplacians d_{p+1} d'_{p+1} + d'_p d_p.
 
     At quotient level the Laplacian has nullity a_p and index 0; the original
     Laplacian differs from the lift of the quotient one by a matrix of rank at
     most dim R(d_{p+1} d_{p+2}) + dim R(d_p d_{p+1})."""
-    analysis = _chain_analysis(c)
-    c, defects, qc = analysis.chain, analysis.defects, analysis.quotient
-    n = c.top_degree
+    defects, qc = c.defects, c.quotient
+    q_dims = [q.quotient_dim for q in qc.quotients]
 
     def tilde_delta(p):
-        if 1 <= p <= n:
-            return qc.maps_tilde[p - 1]
-        rows = qc.quotients[p - 1].quotient_dim if 0 <= p - 1 <= n else 0
-        cols = qc.quotients[p].quotient_dim if 0 <= p <= n else 0
-        return RatMatrix.zero(rows, cols)
+        return _degree_map(qc.maps_tilde, q_dims, p)
 
     def tilde_prime(p):
-        if 1 <= p <= n:
-            return qc.inverses_tilde[p - 1]
-        rows = qc.quotients[p].quotient_dim if 0 <= p <= n else 0
-        cols = qc.quotients[p - 1].quotient_dim if 0 <= p - 1 <= n else 0
-        return RatMatrix.zero(rows, cols)
+        return _degree_map(qc.inverses_tilde, q_dims, p, upward=True)
 
     checks = {}
     degree_details = []
-    for p in range(n + 1):
+    for p in range(c.top_degree + 1):
         lap = c.delta(p + 1) @ _delta_prime(c, qc, p + 1) + _delta_prime(c, qc, p) @ c.delta(p)
         lap_tilde = tilde_delta(p + 1) @ tilde_prime(p + 1) + tilde_prime(p) @ tilde_delta(p)
         nullity, corank, index = fredholm_data(lap)
@@ -332,7 +313,8 @@ def verify_theorem_4_4(c: ChainInstance | ChainAnalysis) -> TheoremReport:
         lift = q.section @ lap_tilde @ q.projection
         rank_pert = (lap - lift).rank
         killed_here = q.killed.dim
-        killed_below = (c.delta(p) @ c.delta(p + 1)).rank
+        # R(d_p d_{p+1}) is what the quotient of degree p-1 killed
+        killed_below = qc.quotients[p - 1].killed.dim if p else 0
         checks[f"nullity_matches_a_{p}"] = nullity_t == defects.a[p]
         checks[f"zero_index_{p}"] = index_t == 0
         checks[f"perturbation_rank_{p}"] = rank_pert <= killed_here + killed_below

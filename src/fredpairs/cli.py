@@ -22,7 +22,6 @@ import sys
 from pathlib import Path
 
 from .chains import (
-    ChainAnalysis,
     ChainInstance,
     chain_defects,
     verify_remark_2_3,
@@ -32,7 +31,7 @@ from .chains import (
 from .errors import FredpairsError, InputError, InvariantError
 from .generators import GenConfig, SplitMix64, child_seed, random_chain, random_pair
 from .matrices import RatMatrix
-from .pairs import PairAnalysis, PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
+from .pairs import PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
 
 PAIR_CHECKS = ("thm34", "thm36")
 CHAIN_CHECKS = ("remark23", "thm42", "thm44", "thm34", "thm36")
@@ -46,6 +45,10 @@ def _load_json(path: str):
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        # an integer literal past the interpreter's int-string digit limit,
+        # bytes that are not UTF-8, or nesting deeper than the decoder's stack
+        raise InputError(f"cannot parse {path}: {exc}") from None
 
 
 def _parse_instance(obj):
@@ -57,26 +60,26 @@ def _parse_instance(obj):
     raise InputError("instance JSON is neither a pair (dim_x/dim_y/s/t) nor a chain (dims/maps)")
 
 
-def _pair_reports(analysis: PairAnalysis, checks) -> list:
+def _pair_reports(pair: PairInstance, checks) -> list:
     reports = []
     if "thm34" in checks:
-        reports.append(verify_theorem_3_4(analysis))
+        reports.append(verify_theorem_3_4(pair))
     if "thm36" in checks:
-        reports.append(verify_theorem_3_6(analysis))
+        reports.append(verify_theorem_3_6(pair))
     return reports
 
 
-def _chain_reports(analysis: ChainAnalysis, checks) -> list:
+def _chain_reports(chain: ChainInstance, checks) -> list:
     reports = []
     if "remark23" in checks:
-        reports.append(verify_remark_2_3(analysis))
+        reports.append(verify_remark_2_3(chain))
     if "thm42" in checks:
-        reports.append(verify_theorem_4_2(analysis))
+        reports.append(verify_theorem_4_2(chain))
     if "thm44" in checks:
-        reports.append(verify_theorem_4_4(analysis))
+        reports.append(verify_theorem_4_4(chain))
     folded_checks = [c for c in checks if c in PAIR_CHECKS]
     if folded_checks:
-        reports.extend(_pair_reports(analysis.folded, folded_checks))
+        reports.extend(_pair_reports(chain.folded, folded_checks))
     return reports
 
 
@@ -116,14 +119,14 @@ def cmd_verify(args) -> int:
     if isinstance(instance, ChainInstance):
         if args.all or not checks:
             checks = list(CHAIN_CHECKS)
-        reports = _chain_reports(ChainAnalysis(instance), checks)
+        reports = _chain_reports(instance, checks)
     else:
         if args.all or not checks:
             checks = list(PAIR_CHECKS)
         bad = [c for c in checks if c not in PAIR_CHECKS]
         if bad:
             raise InputError(f"checks {bad} need a chain file, {args.file} holds a pair")
-        reports = _pair_reports(PairAnalysis(instance), checks)
+        reports = _pair_reports(instance, checks)
     print(json.dumps({"reports": [r.to_json_obj() for r in reports]}))
     return 0 if all(r.passed for r in reports) else 1
 
@@ -140,11 +143,11 @@ def _fuzz_instance(cfg_seed: int, ordinal: int, args):
     rng = cfg.rng()
     if ordinal % 2 == 0:
         instance = random_pair(cfg, rng)
-        reports = _pair_reports(PairAnalysis(instance), PAIR_CHECKS)
+        reports = _pair_reports(instance, PAIR_CHECKS)
         kind = "pair"
     else:
         instance = random_chain(cfg, rng.randint(1, 5), rng)
-        reports = _chain_reports(ChainAnalysis(instance), ("remark23", "thm42", "thm44"))
+        reports = _chain_reports(instance, ("remark23", "thm42", "thm44"))
         kind = "chain"
     return seed, kind, instance, reports
 

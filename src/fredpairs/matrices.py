@@ -23,16 +23,6 @@ from typing import Iterable, Sequence
 from ._kernels import mat_mul, rref_rows
 from .errors import DimensionError, InputError
 
-Rat = Fraction
-
-
-def rat(value) -> Fraction:
-    """Coerce an int, string like ``"p/q"``, or Fraction to a Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(*_scalar(value))
-
-
 def _scalar(value) -> tuple[int, int]:
     """An int, ``"p/q"`` string or Fraction as ``(n, d)`` in lowest terms, d > 0."""
     if type(value) is int:
@@ -168,10 +158,6 @@ class RatMatrix:
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return cls._raw(n, n, [[int(i == j) for j in range(n)] for i in range(n)], 1)
-
-    @classmethod
-    def column(cls, vector: Sequence) -> "RatMatrix":
-        return cls(len(vector), 1, [[v] for v in vector])
 
     # -- basic protocol -----------------------------------------------
 

@@ -38,6 +38,33 @@ class PairInstance:
         if self.t.shape != (self.dim_x, self.dim_y):
             raise DimensionError(f"T must be {self.dim_x}x{self.dim_y}, got {self.t.shape}")
 
+    # The derived objects are computed on first use and kept on the instance,
+    # so every verifier run on it shares them.  They live in the instance's
+    # __dict__, which the dataclass's equality, hash and repr never read.
+
+    @cached_property
+    def range_st(self) -> Subspace:
+        """R(ST), a subspace of Y."""
+        return image_basis(self.s @ self.t)
+
+    @cached_property
+    def range_ts(self) -> Subspace:
+        """R(TS), a subspace of X."""
+        return image_basis(self.t @ self.s)
+
+    @cached_property
+    def defects(self) -> "PairDefects":
+        return pair_defects(self)
+
+    @cached_property
+    def induced(self) -> "InducedPair":
+        return induced_pair(self)
+
+    @cached_property
+    def extensions(self) -> "InverseBundle":
+        """The default (pseudoinverse) extensions."""
+        return build_extensions(self)
+
     def to_json_obj(self) -> dict:
         return {
             "dim_x": self.dim_x,
@@ -100,14 +127,17 @@ class InverseBundle:
     """Generalized inverses of the induced pair plus their zero extensions.
 
     s_prime / t_prime act on the original spaces and vanish on R(TS) and
-    R(ST) respectively.  ``normalized`` and ``chain_compatible`` record which
-    extra identities the quotient-level inverses satisfy.
+    R(ST) respectively; s_plus / t_plus are the operators S + T' and T + S'
+    that the verifiers test.  ``normalized`` and ``chain_compatible`` record
+    which extra identities the quotient-level inverses satisfy.
     """
 
     s_tilde_prime: RatMatrix
     t_tilde_prime: RatMatrix
     s_prime: RatMatrix  # dim_x x dim_y
     t_prime: RatMatrix  # dim_y x dim_x
+    s_plus: RatMatrix  # S + T', dim_y x dim_x
+    t_plus: RatMatrix  # T + S', dim_x x dim_y
     normalized: bool
     chain_compatible: bool
 
@@ -154,7 +184,7 @@ def pair_defects(p: PairInstance) -> PairDefects:
 
 def composition_ranges(p: PairInstance) -> tuple[int, int]:
     """(dim R(ST), dim R(TS)); ST acts on Y, TS on X."""
-    return (p.s @ p.t).rank, (p.t @ p.s).rank
+    return p.range_st.dim, p.range_ts.dim
 
 
 def fredholm_data(a: RatMatrix) -> tuple[int, int, int]:
@@ -174,8 +204,8 @@ def induced_pair(p: PairInstance) -> InducedPair:
     S~ is the projected image of N(S) + R(T).  That the induced maps compose
     to zero is checked; a failure raises ``InvariantError``.
     """
-    q_x = quotient(p.dim_x, image_basis(p.t @ p.s))
-    q_y = quotient(p.dim_y, image_basis(p.s @ p.t))
+    q_x = quotient(p.dim_x, p.range_ts)
+    q_y = quotient(p.dim_y, p.range_st)
     s_tilde = induced_map(p.s, q_x, q_y)
     t_tilde = induced_map(p.t, q_y, q_x)
     if not ((s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()):
@@ -209,7 +239,6 @@ def build_extensions(
     p: PairInstance,
     s_tilde_prime: RatMatrix | None = None,
     t_tilde_prime: RatMatrix | None = None,
-    induced: InducedPair | None = None,
 ) -> InverseBundle:
     """Build zero-extended generalized inverses S', T' for the pair.
 
@@ -219,7 +248,7 @@ def build_extensions(
     inverses exercises the "any extensions" variant; they must actually be
     generalized inverses of S~ and T~.
     """
-    ind = induced if induced is not None else induced_pair(p)
+    ind = p.induced
     if (s_tilde_prime is None) != (t_tilde_prime is None):
         raise PreconditionError("supply both custom inverses or neither")
     if s_tilde_prime is None:
@@ -244,6 +273,8 @@ def build_extensions(
         t_tilde_prime=t_tilde_prime,
         s_prime=s_prime,
         t_prime=t_prime,
+        s_plus=p.s + t_prime,
+        t_plus=p.t + s_prime,
         normalized=normalized,
         chain_compatible=chain_compatible,
     )
@@ -251,52 +282,18 @@ def build_extensions(
 
 def build_v(p: PairInstance, b: InverseBundle) -> RatMatrix:
     """The swap operator on X (+) Y: (x, y) |-> ((T + S')y, (S + T')x)."""
-    s_plus = p.s + b.t_prime
-    t_plus = p.t + b.s_prime
     return block(
         [
-            [RatMatrix.zero(p.dim_x, p.dim_x), t_plus],
-            [s_plus, RatMatrix.zero(p.dim_y, p.dim_y)],
+            [RatMatrix.zero(p.dim_x, p.dim_x), b.t_plus],
+            [b.s_plus, RatMatrix.zero(p.dim_y, p.dim_y)],
         ]
     )
-
-
-# -- per-instance analysis --------------------------------------------
-
-
-class PairAnalysis:
-    """The derived objects of one pair, each computed on first use and kept.
-
-    Every verifier reads the defects, the induced pair and the default
-    (pseudoinverse) extensions from here, so one analysis shared by several
-    verifiers computes each of them once.  The objects themselves come from
-    the public functions above.
-    """
-
-    def __init__(self, pair: PairInstance):
-        self.pair = pair
-
-    @cached_property
-    def defects(self) -> PairDefects:
-        return pair_defects(self.pair)
-
-    @cached_property
-    def induced(self) -> InducedPair:
-        return induced_pair(self.pair)
-
-    @cached_property
-    def extensions(self) -> InverseBundle:
-        return build_extensions(self.pair, induced=self.induced)
-
-
-def _pair_analysis(p: PairInstance | PairAnalysis) -> PairAnalysis:
-    return p if isinstance(p, PairAnalysis) else PairAnalysis(p)
 
 
 # -- theorem verifiers ------------------------------------------------
 
 
-def verify_theorem_3_4(p: PairInstance | PairAnalysis) -> TheoremReport:
+def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
     """Exact index identities relating the pair index to S + T' and T + S'.
 
     Checks, with the default (pseudoinverse) extensions:
@@ -306,13 +303,9 @@ def verify_theorem_3_4(p: PairInstance | PairAnalysis) -> TheoremReport:
       4. index(S + T') = index(S1 + T') where S1 lifts S~ and vanishes on
          R(TS); rank(S - S1) <= dim R(ST) + dim R(TS)
     """
-    analysis = _pair_analysis(p)
-    p, defects, ind = analysis.pair, analysis.defects, analysis.induced
-    bundle = analysis.extensions
-    s_plus = p.s + bundle.t_prime
-    t_plus = p.t + bundle.s_prime
-    _, _, index_s_plus = fredholm_data(s_plus)
-    _, _, index_t_plus = fredholm_data(t_plus)
+    defects, ind, bundle = p.defects, p.induced, p.extensions
+    _, _, index_s_plus = fredholm_data(bundle.s_plus)
+    _, _, index_t_plus = fredholm_data(bundle.t_plus)
 
     tilde_pair = PairInstance(
         ind.q_x.quotient_dim, ind.q_y.quotient_dim, ind.s_tilde, ind.t_tilde
@@ -351,9 +344,7 @@ def verify_theorem_3_4(p: PairInstance | PairAnalysis) -> TheoremReport:
     )
 
 
-def verify_theorem_3_6(
-    p: PairInstance | PairAnalysis, b: InverseBundle | None = None
-) -> TheoremReport:
+def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> TheoremReport:
     """Laplacian-type operators built from the pair and its inverse bundle.
 
     V^2 must be block diagonal with blocks (T+S')(S+T') and (S+T')(T+S').
@@ -362,10 +353,9 @@ def verify_theorem_3_6(
     quotient Laplacians equal to a and c) are asserted only for
     chain-compatible bundles, and merely reported otherwise.
     """
-    analysis = _pair_analysis(p)
-    p, defects, ind = analysis.pair, analysis.defects, analysis.induced
+    defects, ind = p.defects, p.induced
     if b is None:
-        b = analysis.extensions
+        b = p.extensions
     v = build_v(p, b)
     v2 = v @ v
     dx, dy = p.dim_x, p.dim_y
@@ -374,13 +364,11 @@ def verify_theorem_3_6(
     xy_block = RatMatrix._canonical(dx, dy, [row[dx:] for row in top], den)
     yx_block = RatMatrix._canonical(dy, dx, [row[:dx] for row in bottom], den)
     yy_block = RatMatrix._canonical(dy, dy, [row[dx:] for row in bottom], den)
-    s_plus = p.s + b.t_prime
-    t_plus = p.t + b.s_prime
     block_diagonal = (
         xy_block.is_zero()
         and yx_block.is_zero()
-        and xx_block == t_plus @ s_plus
-        and yy_block == s_plus @ t_plus
+        and xx_block == b.t_plus @ b.s_plus
+        and yy_block == b.s_plus @ b.t_plus
     )
 
     lap_x = b.s_prime @ p.s + p.t @ b.t_prime

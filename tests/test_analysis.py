@@ -1,20 +1,20 @@
-"""Per-instance analyses: the verifiers report the same on an analysis as on
-an instance, one CLI call derives each object once, and the one cached
-inverse bundle that every verifier reads is the Moore-Penrose one."""
+"""Derived objects kept on the instance: every verifier run on one instance
+reads the same defects, induced pair and extensions, each of them is derived
+once per instance, and the cached inverse bundle that every verifier reads is
+the Moore-Penrose one."""
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import fredpairs
 from fredpairs import (
-    ChainAnalysis,
     ChainInstance,
-    PairAnalysis,
     PairInstance,
     RatMatrix,
     build_extensions,
@@ -45,33 +45,50 @@ def fuzz_chains(seed, count):
     return [random_chain(cfg, rng.randint(1, 4), rng) for _ in range(count)]
 
 
+# An instance keeps what was derived from it, so a test that must see objects
+# derived afresh takes a copy: ``replace(instance)`` has equal fields and
+# nothing derived yet.
 PAIRS = fuzz_pairs(41, 12)
 CHAINS = fuzz_chains(43, 8)
 
 
-class TestSameReports:
-    def test_pair_verifiers(self):
-        for pair in PAIRS:
-            analysis = PairAnalysis(pair)
-            assert verify_theorem_3_4(analysis) == verify_theorem_3_4(pair)
-            assert verify_theorem_3_6(analysis) == verify_theorem_3_6(pair)
+def record_operands(monkeypatch, method):
+    """Record the operands of every call to the ``RatMatrix`` operator ``method``."""
+    seen = []
+    original = getattr(RatMatrix, method)
 
-    def test_custom_bundle_on_an_analysis(self):
+    def recorded(a, b):
+        seen.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(RatMatrix, method, recorded)
+    return seen
+
+
+def times(seen, a, b) -> int:
+    return sum(x is a and y is b for x, y in seen)
+
+
+class TestSharedObjects:
+    def test_folded_pair_is_the_fold(self):
+        for chain in map(replace, CHAINS):
+            for verify in (verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4):
+                assert verify(chain).passed
+            folded = fold_to_pair(chain)
+            assert chain.folded == folded
+            # the fold the chain verifiers already used reports as a fresh one
+            for verify in (verify_theorem_3_4, verify_theorem_3_6):
+                assert verify(chain.folded) == verify(folded)
+
+    def test_custom_bundle_differs_from_default(self):
         pair = PairInstance(2, 1, mat([[1, 0]]), mat([[0], [1]]))
         bundle = build_extensions(pair, s_tilde_prime=mat([[1]]), t_tilde_prime=mat([[7]]))
-        report = verify_theorem_3_6(PairAnalysis(pair), bundle)
-        assert report == verify_theorem_3_6(pair, bundle)
+        report = verify_theorem_3_6(pair, bundle)
+        assert report == verify_theorem_3_6(replace(pair), bundle)
         assert report != verify_theorem_3_6(pair)
-
-    def test_chain_verifiers(self):
-        for chain in CHAINS:
-            analysis = ChainAnalysis(chain)
-            for verify in (verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4):
-                assert verify(analysis) == verify(chain)
-            folded = fold_to_pair(chain)
-            assert analysis.folded.pair == folded
-            for verify in (verify_theorem_3_4, verify_theorem_3_6):
-                assert verify(analysis.folded) == verify(folded)
+        # a custom bundle is not kept in place of the default one
+        assert pair.extensions != bundle
+        assert verify_theorem_3_6(pair) == verify_theorem_3_6(replace(pair))
 
 
 class TestComputedOnce:
@@ -126,6 +143,31 @@ class TestComputedOnce:
         assert calls["pair_defects"].count(folded) == 1
         assert calls["induced_pair"] == calls["build_extensions"] == [folded]
 
+    def test_pair_verifiers_share_one_instance(self, monkeypatch):
+        # a pair with a nonzero composition, so its induced pair differs from it
+        pair = replace(next(p for p in PAIRS if any(pairs.composition_ranges(p))))
+        calls = self.count_calls(
+            monkeypatch,
+            [(pairs, "pair_defects"), (pairs, "induced_pair"), (pairs, "build_extensions")],
+        )
+        products = record_operands(monkeypatch, "__matmul__")
+        sums = record_operands(monkeypatch, "__add__")
+        assert verify_theorem_3_4(pair).passed and verify_theorem_3_6(pair).passed
+        assert sum(p is pair for p in calls["pair_defects"]) == 1
+        assert len(calls["induced_pair"]) == len(calls["build_extensions"]) == 1
+        assert calls["induced_pair"][0] is calls["build_extensions"][0] is pair
+        assert times(products, pair.s, pair.t) == times(products, pair.t, pair.s) == 1
+        bundle = pair.extensions
+        assert times(sums, pair.s, bundle.t_prime) == times(sums, pair.t, bundle.s_prime) == 1
+
+    def test_theorem_4_4_forms_no_composition(self, monkeypatch):
+        chain = replace(next(c for c in CHAINS if len(c.maps) >= 2))
+        chain.quotient  # forms the compositions it quotients by, before recording
+        products = record_operands(monkeypatch, "__matmul__")
+        assert verify_theorem_4_4(chain).passed
+        maps = chain.maps
+        assert not any(times(products, a, b) for a, b in zip(maps, maps[1:]))
+
 
 def test_induced_map_checks_invariance_under_optimized_python():
     code = (
@@ -165,9 +207,9 @@ def penrose_failures(a, g) -> list[str]:
 
 def check_default_bundles():
     """Every default bundle is normalized, chain compatible and Moore-Penrose."""
-    analyses = [PairAnalysis(p) for p in PAIRS] + [ChainAnalysis(c).folded for c in CHAINS]
-    for analysis in analyses:
-        ind, bundle = analysis.induced, analysis.extensions
+    instances = [replace(p) for p in PAIRS] + [replace(c).folded for c in CHAINS]
+    for pair in instances:
+        ind, bundle = pair.induced, pair.extensions
         assert bundle.normalized and bundle.chain_compatible
         assert penrose_failures(ind.s_tilde, bundle.s_tilde_prime) == []
         assert penrose_failures(ind.t_tilde, bundle.t_tilde_prime) == []

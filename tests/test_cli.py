@@ -1,9 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
-from fredpairs import cli
+from fredpairs import PairInstance, cli
 from fredpairs.cli import main
 
 W2 = {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}
@@ -136,6 +137,26 @@ class TestFuzz:
         kinds = [line["kind"] for line in lines[:-1]]
         assert set(kinds) == {"pair", "chain"}
 
+    def test_failure_exits_1_and_writes_the_instances(self, tmp_path, capsys, monkeypatch):
+        verify = cli.verify_theorem_3_6
+        monkeypatch.setattr(cli, "verify_theorem_3_6", lambda p: replace(verify(p), passed=False))
+        failures = tmp_path / "failures"
+        code, out, _ = run(
+            capsys, ["fuzz", "--seed", "5", "--count", "4", "--failures-dir", str(failures)]
+        )
+        assert code == 1
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[-1]["summary"] == {"count": 4, "passed": 2, "failed": 2, "seed": 5}
+        failed = [line for line in lines[:-1] if line["passed"] is False]
+        assert [line["kind"] for line in failed] == ["pair", "pair"]  # even ordinals
+        assert '"passed": false' in out
+        written = sorted(failures.iterdir())
+        assert [p.name for p in written] == [f"instance_5_{line['ordinal']}.json" for line in failed]
+        for path, line in zip(written, failed):
+            obj = json.loads(path.read_text(encoding="utf-8"))
+            assert obj == line["instance"]
+            assert PairInstance.from_json_obj(obj) == PairInstance.from_json_obj(line["instance"])
+
     def test_empty_run(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--count", "0"])
         assert code == 0
@@ -177,6 +198,19 @@ class TestPinv:
         code, out, _ = run(capsys, ["pinv", write(tmp_path, "m.json", [[0, 0], [0, 0]])])
         assert code == 0
         assert json.loads(out) == [[0, 0], [0, 0]]
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path, capsys):
+        # longer than Python's default limit of 4300 digits per int literal
+        path = tmp_path / "m.json"
+        path.write_text("[[" + "1" * 5000 + "]]", encoding="utf-8")
+        code, out, err = run(capsys, ["pinv", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_deep_nesting_rejected(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, ["pinv", str(path)])
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 class TestParser:
