@@ -12,10 +12,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DimensionError, InputError, InvariantError
+from .errors import DimensionError, InputError, InvariantError, PreconditionError
 from .matrices import RatMatrix, block
 from .pairs import PairInstance, TheoremReport, fredholm_data
-from .subspaces import QuotientStructure, image_basis, induced_map, kernel_basis, quotient
+from .subspaces import (
+    QuotientStructure,
+    Subspace,
+    image_basis,
+    induced_map,
+    kernel_basis,
+    lift,
+    quotient,
+)
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,14 @@ class ChainInstance:
         return chain_defects(self)
 
     @cached_property
+    def composition_ranges(self) -> tuple[Subspace, ...]:
+        """R(d_{p+1} d_{p+2}), a subspace of X_p, for p = 0..n-2.
+
+        The two top degrees have no such composition, so none is formed.
+        """
+        return tuple(image_basis(a @ b) for a, b in zip(self.maps, self.maps[1:]))
+
+    @cached_property
     def quotient(self) -> "QuotientChain":
         return quotient_chain(self)
 
@@ -60,9 +76,7 @@ class ChainInstance:
         return _degree_map(self.maps, self.dims, p)
 
     def is_complex(self) -> bool:
-        return all(
-            (self.delta(p) @ self.delta(p + 1)).is_zero() for p in range(1, self.top_degree)
-        )
+        return not any(r.dim for r in self.composition_ranges)
 
     def to_json_obj(self) -> dict:
         return {"dims": list(self.dims), "maps": [m.to_json_obj() for m in self.maps]}
@@ -211,25 +225,35 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
 
     The induced family is a complex; its per-degree pseudoinverses compose to
     zero as well and are normalized generalized inverses.  Both complexes are
-    checked; a failure raises ``InvariantError``.  The extended inverse
+    checked; a failure raises ``InvariantError``, and so does a failed
+    precondition of ``induced_map``, since d_p maps R(d_{p+1} d_{p+2}) into
+    R(d_p d_{p+1}).  The extended inverse
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     n = c.top_degree
-    quotients = tuple(
-        quotient(c.dims[p], image_basis(c.delta(p + 1) @ c.delta(p + 2))) for p in range(n + 1)
-    )
-    maps_tilde = tuple(
-        induced_map(c.delta(p), quotients[p], quotients[p - 1]) for p in range(1, n + 1)
-    )
+    ranges = c.composition_ranges
+    killed = ranges + tuple(Subspace.zero(d) for d in c.dims[len(ranges) :])
+    quotients = tuple(quotient(d, k) for d, k in zip(c.dims, killed))
+    try:
+        maps_tilde = tuple(
+            induced_map(c.delta(p), quotients[p], quotients[p - 1]) for p in range(1, n + 1)
+        )
+    except PreconditionError as exc:
+        raise InvariantError(f"the induced chain: {exc}") from exc
     inverses_tilde = tuple(m.pseudoinverse() for m in maps_tilde)
     for i in range(len(maps_tilde) - 1):
-        if not (maps_tilde[i] @ maps_tilde[i + 1]).is_zero():
+        if maps_tilde[i] is c.maps[i] and maps_tilde[i + 1] is c.maps[i + 1]:
+            # both maps passed through unchanged, so their product is
+            # d_{i+1} d_{i+2}, whose range the chain already holds
+            composes_to_zero = not ranges[i].dim
+        else:
+            composes_to_zero = (maps_tilde[i] @ maps_tilde[i + 1]).is_zero()
+        if not composes_to_zero:
             raise InvariantError(f"induced maps {i + 1} and {i + 2} do not compose to zero")
         if not (inverses_tilde[i + 1] @ inverses_tilde[i]).is_zero():
             raise InvariantError(f"inverses {i + 2} and {i + 1} do not compose to zero")
     extended = tuple(
-        quotients[p].section @ inverses_tilde[p - 1] @ quotients[p - 1].projection
-        for p in range(1, n + 1)
+        lift(inverses_tilde[p - 1], quotients[p - 1], quotients[p]) for p in range(1, n + 1)
     )
     return QuotientChain(
         quotients=quotients,
@@ -310,8 +334,7 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
         nullity, corank, index = fredholm_data(lap)
         nullity_t, _, index_t = fredholm_data(lap_tilde)
         q = qc.quotients[p]
-        lift = q.section @ lap_tilde @ q.projection
-        rank_pert = (lap - lift).rank
+        rank_pert = (lap - lift(lap_tilde, q, q)).rank
         killed_here = q.killed.dim
         # R(d_p d_{p+1}) is what the quotient of degree p-1 killed
         killed_below = qc.quotients[p - 1].killed.dim if p else 0

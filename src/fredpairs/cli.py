@@ -16,6 +16,7 @@ failed (a bug in the package).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -49,6 +50,24 @@ def _load_json(path: str):
         # an integer literal past the interpreter's int-string digit limit,
         # bytes that are not UTF-8, or nesting deeper than the decoder's stack
         raise InputError(f"cannot parse {path}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int-string digit limit while a result is encoded.
+
+    Input keeps the limit (see ``_load_json``), but a result computed from an
+    accepted input can hold longer integers, and those must still print.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _parse_instance(obj):
@@ -127,7 +146,8 @@ def cmd_verify(args) -> int:
         if bad:
             raise InputError(f"checks {bad} need a chain file, {args.file} holds a pair")
         reports = _pair_reports(instance, checks)
-    print(json.dumps({"reports": [r.to_json_obj() for r in reports]}))
+    with _unlimited_int_digits():
+        print(json.dumps({"reports": [r.to_json_obj() for r in reports]}))
     return 0 if all(r.passed for r in reports) else 1
 
 
@@ -157,18 +177,19 @@ def cmd_fuzz(args) -> int:
     for ordinal in range(args.count):
         seed, kind, instance, reports = _fuzz_instance(args.seed, ordinal, args)
         passed = all(r.passed for r in reports)
-        print(
-            json.dumps(
-                {
-                    "ordinal": ordinal,
-                    "kind": kind,
-                    "seed": seed,
-                    "instance": instance.to_json_obj(),
-                    "reports": [r.to_json_obj() for r in reports],
-                    "passed": passed,
-                }
+        with _unlimited_int_digits():
+            print(
+                json.dumps(
+                    {
+                        "ordinal": ordinal,
+                        "kind": kind,
+                        "seed": seed,
+                        "instance": instance.to_json_obj(),
+                        "reports": [r.to_json_obj() for r in reports],
+                        "passed": passed,
+                    }
+                )
             )
-        )
         if not passed:
             failures += 1
             directory = Path(args.failures_dir)
@@ -192,7 +213,9 @@ def cmd_fuzz(args) -> int:
 
 def cmd_pinv(args) -> int:
     matrix = RatMatrix.from_json_obj(_load_json(args.file))
-    print(json.dumps(matrix.pseudoinverse().to_json_obj()))
+    pinv = matrix.pseudoinverse()
+    with _unlimited_int_digits():
+        print(json.dumps(pinv.to_json_obj()))
     return 0
 
 

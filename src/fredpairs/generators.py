@@ -180,8 +180,8 @@ def random_chain(cfg: GenConfig, length: int, rng: SplitMix64 | None = None) -> 
                 p += 1
 
     chain = ChainInstance(tuple(dims), tuple(maps))
-    for p in range(1, length):
-        comp_rank = (chain.delta(p) @ chain.delta(p + 1)).rank
+    for p, comp_range in enumerate(chain.composition_ranges, start=1):
+        comp_rank = comp_range.dim
         if comp_rank > cfg.rank_budget:
             raise InvariantError(f"maps {p}, {p + 1} compose to rank {comp_rank} over the budget")
         if cfg.complex_only and comp_rank:

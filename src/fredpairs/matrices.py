@@ -261,14 +261,19 @@ class RatMatrix:
         """
         cached = self._rref
         if cached is None:
-            rows, pivots = rref_rows(self.num, self.cols)
-            den = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
-            for i, c in enumerate(pivots):
-                f = den // rows[i][c]
-                if f != 1:
-                    rows[i] = [x * f for x in rows[i]]
-            reduced = RatMatrix._raw(self.rows, self.cols, rows, den)
-            cached = RrefResult(reduced, tuple(pivots), len(pivots))
+            if self.is_zero():
+                # no row reduction: the matrix is its own rref, and it is
+                # canonical over den 1 as the kernel's zero rows would be
+                cached = RrefResult(self, (), 0)
+            else:
+                rows, pivots = rref_rows(self.num, self.cols)
+                den = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
+                for i, c in enumerate(pivots):
+                    f = den // rows[i][c]
+                    if f != 1:
+                        rows[i] = [x * f for x in rows[i]]
+                reduced = RatMatrix._raw(self.rows, self.cols, rows, den)
+                cached = RrefResult(reduced, tuple(pivots), len(pivots))
             object.__setattr__(self, "_rref", cached)
         return cached
 
@@ -279,16 +284,7 @@ class RatMatrix:
     def inverse(self) -> "RatMatrix":
         if self.rows != self.cols:
             raise DimensionError("only square matrices are invertible")
-        n = self.rows
-        aug = hstack(self, RatMatrix.identity(n))
-        result = aug.rref()
-        # A is invertible exactly when every pivot of [A | I] lies in A's half.
-        if result.pivot_columns != tuple(range(n)):
-            raise DimensionError("matrix is singular")
-        red = result.reduced
-        # The left half of the reduced rows is den times the identity, so the
-        # right half alone is still canonical over den.
-        return RatMatrix._raw(n, n, [row[n:] for row in red.num], red.den)
+        return _solve(self, RatMatrix.identity(self.rows))
 
     def rank_factorization(self) -> RankFactorization:
         """Full rank factorization A = C * R from the rref of A.
@@ -308,16 +304,17 @@ class RatMatrix:
         """The Moore-Penrose pseudoinverse, exact over Q.
 
         Computed from the full rank factorization A = C R as
-        R^T (R R^T)^-1 (C^T C)^-1 C^T; both Gram matrices are invertible
-        because C and R have full rank.  The result satisfies all four
-        Penrose identities with the ordinary transpose.
+        R^T (R R^T)^-1 (C^T C)^-1 C^T, in solve form: the two Gram matrices
+        are invertible because C and R have full rank, so (R R^T)^-1 R and
+        (C^T C)^-1 C^T each come from one row reduction and only one product
+        joins them.  A zero matrix has empty factors and gives the zero
+        matrix.  The result satisfies all four Penrose identities with the
+        ordinary transpose.
         """
         fact = self.rank_factorization()
-        if fact.rank == 0:
-            return RatMatrix.zero(self.cols, self.rows)
         c, r = fact.left, fact.right
-        rt, ct = r.transpose(), c.transpose()
-        return rt @ (r @ rt).inverse() @ (ct @ c).inverse() @ ct
+        ct = c.transpose()
+        return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ c, ct)
 
     # -- JSON ---------------------------------------------------------
 
@@ -343,6 +340,24 @@ class RatMatrix:
             raise InputError(f"matrix JSON does not have shape {rows}x{cols}")
         grid = [[_json_scalar(e) for e in row] for row in obj]
         return cls._raw(rows, cols, *_over_common_den(grid))
+
+
+def _solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """a^-1 b for a square invertible ``a``, from one row reduction of [a | b].
+
+    ``a`` is invertible exactly when every pivot of [a | b] lies in a's
+    half, that is when the pivots are columns 0..n-1; otherwise
+    ``DimensionError`` is raised.  The reduced left half is then den times
+    the identity, so the right half alone is still canonical over den.
+    """
+    n = a.rows
+    if a.cols != n or b.rows != n:
+        raise DimensionError(f"cannot solve {a.shape} against {b.shape}")
+    result = hstack(a, b).rref()
+    if result.pivot_columns != tuple(range(n)):
+        raise DimensionError("matrix is singular")
+    red = result.reduced
+    return RatMatrix._raw(n, b.cols, [row[n:] for row in red.num], red.den)
 
 
 def _json_scalar(value) -> tuple[int, int]:

@@ -21,6 +21,7 @@ from .subspaces import (
     image_basis,
     induced_map,
     kernel_basis,
+    lift,
     quotient,
 )
 
@@ -202,12 +203,17 @@ def induced_pair(p: PairInstance) -> InducedPair:
 
     The induced maps always compose to zero in both orders, and the kernel of
     S~ is the projected image of N(S) + R(T).  That the induced maps compose
-    to zero is checked; a failure raises ``InvariantError``.
+    to zero is checked; a failure raises ``InvariantError``.  S maps R(TS)
+    into R(ST) and T maps R(ST) into R(TS), so a failed precondition of
+    ``induced_map`` here is an ``InvariantError`` too.
     """
     q_x = quotient(p.dim_x, p.range_ts)
     q_y = quotient(p.dim_y, p.range_st)
-    s_tilde = induced_map(p.s, q_x, q_y)
-    t_tilde = induced_map(p.t, q_y, q_x)
+    try:
+        s_tilde = induced_map(p.s, q_x, q_y)
+        t_tilde = induced_map(p.t, q_y, q_x)
+    except PreconditionError as exc:
+        raise InvariantError(f"the induced pair: {exc}") from exc
     if not ((s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()):
         raise InvariantError("the induced pair is not a complex")
     return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
@@ -266,8 +272,8 @@ def build_extensions(
     chain_compatible = (s_tilde_prime @ t_tilde_prime).is_zero() and (
         t_tilde_prime @ s_tilde_prime
     ).is_zero()
-    s_prime = ind.q_x.section @ s_tilde_prime @ ind.q_y.projection
-    t_prime = ind.q_y.section @ t_tilde_prime @ ind.q_x.projection
+    s_prime = lift(s_tilde_prime, ind.q_y, ind.q_x)
+    t_prime = lift(t_tilde_prime, ind.q_x, ind.q_y)
     return InverseBundle(
         s_tilde_prime=s_tilde_prime,
         t_tilde_prime=t_tilde_prime,
@@ -312,7 +318,7 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
     )
     tilde_index = pair_defects(tilde_pair).index
 
-    s_one = ind.q_y.section @ ind.s_tilde @ ind.q_x.projection
+    s_one = lift(ind.s_tilde, ind.q_x, ind.q_y)
     _, _, index_s_one_plus = fredholm_data(s_one + bundle.t_prime)
     rank_diff = (p.s - s_one).rank
     rank_bound = defects.dim_range_st + defects.dim_range_ts

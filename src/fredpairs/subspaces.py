@@ -12,7 +12,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DimensionError, PreconditionError
-from .matrices import RatMatrix, block, vstack
+from .matrices import RatMatrix, _solve, block, vstack
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,8 @@ class QuotientStructure:
 def kernel_basis(a: RatMatrix) -> Subspace:
     """The null space {x : Ax = 0} as a canonical subspace of the domain."""
     result = a.rref()
+    if not result.rank:
+        return Subspace.full(a.cols)
     red, pivots = result.reduced, result.pivot_columns
     pivot_set = set(pivots)
     vectors = []
@@ -152,20 +154,25 @@ def quotient(ambient_dim: int, killed: Subspace) -> QuotientStructure:
     """Materialize Q^ambient_dim / killed with orthogonal section.
 
     With C the echelon basis of the orthogonal complement of ``killed`` (rows),
-    the section is C^T and the projection (C C^T)^-1 C, so that
+    the section is C^T and the projection (C C^T)^-1 C, taken in solve form
+    from one row reduction of [C C^T | C], so that
     projection @ section = identity and killed is exactly the kernel of the
-    projection.
+    projection.  When ``killed`` is zero, C is the identity and both maps are
+    the identity, which is returned directly.
     """
     if killed.ambient_dim != ambient_dim:
         raise DimensionError("killed subspace lives in the wrong ambient space")
+    if not killed.dim:
+        identity = RatMatrix.identity(ambient_dim)
+        return QuotientStructure(ambient_dim, killed, ambient_dim, identity, identity)
     c = orthogonal_complement(killed).basis
-    projection = (c @ c.transpose()).inverse() @ c
+    section = c.transpose()
     return QuotientStructure(
         ambient_dim=ambient_dim,
         killed=killed,
         quotient_dim=c.rows,
-        projection=projection,
-        section=c.transpose(),
+        projection=_solve(c @ section, c),
+        section=section,
     )
 
 
@@ -184,12 +191,32 @@ def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure
     is the test of the requirement: section_dom @ projection_dom is the
     orthogonal projector with kernel killed_dom and the kernel of
     projection_cod is killed_cod, so the square commutes exactly when A maps
-    killed_dom into killed_cod.
+    killed_dom into killed_cod.  A quotient that kills nothing has identity
+    projection and section, so its factor is skipped; when killed_dom is zero
+    A~ is projection_cod @ A and the requirement holds trivially.
     """
     if a.cols != q_dom.ambient_dim or a.rows != q_cod.ambient_dim:
         raise DimensionError("matrix shape does not match the quotient structures")
-    projected = q_cod.projection @ a
+    projected = q_cod.projection @ a if q_cod.killed.dim else a
+    if not q_dom.killed.dim:
+        return projected
     a_tilde = projected @ q_dom.section
     if a_tilde @ q_dom.projection != projected:
         raise PreconditionError("A does not map killed_dom into killed_cod")
     return a_tilde
+
+
+def lift(m: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> RatMatrix:
+    """Lift a map between the quotients to section_cod @ m @ projection_dom.
+
+    The lift vanishes on killed_dom and maps into the orthogonal complement
+    of killed_cod.  A quotient that kills nothing contributes an identity
+    factor, which is skipped.
+    """
+    if m.cols != q_dom.quotient_dim or m.rows != q_cod.quotient_dim:
+        raise DimensionError("matrix shape does not match the quotient structures")
+    if q_cod.killed.dim:
+        m = q_cod.section @ m
+    if q_dom.killed.dim:
+        m = m @ q_dom.projection
+    return m

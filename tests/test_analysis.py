@@ -21,6 +21,7 @@ from fredpairs import (
     chains,
     fold_to_pair,
     pairs,
+    quotient_chain,
     verify_remark_2_3,
     verify_theorem_3_4,
     verify_theorem_3_6,
@@ -167,6 +168,19 @@ class TestComputedOnce:
         assert verify_theorem_4_4(chain).passed
         maps = chain.maps
         assert not any(times(products, a, b) for a, b in zip(maps, maps[1:]))
+
+    def test_chain_compositions_formed_once(self, monkeypatch):
+        products = record_operands(monkeypatch, "__matmul__")
+        cfg = GenConfig(seed=47, max_dim=6)
+        rng = cfg.rng()
+        for _ in range(8):
+            chain = random_chain(cfg, rng.randint(1, 5), rng)
+            quotient_chain(chain)
+            maps = chain.maps
+            # the budget check and the quotients share one d_p d_{p+1} per degree,
+            # and none is formed for the two top degrees
+            assert len(chain.composition_ranges) == len(maps) - 1
+            assert all(times(products, a, b) == 1 for a, b in zip(maps, maps[1:]))
 
 
 def test_induced_map_checks_invariance_under_optimized_python():

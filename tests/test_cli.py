@@ -1,6 +1,8 @@
 import hashlib
 import json
+import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -205,6 +207,26 @@ class TestPinv:
         path.write_text("[[" + "1" * 5000 + "]]", encoding="utf-8")
         code, out, err = run(capsys, ["pinv", str(path)])
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_result_past_the_digit_limit_printed(self, tmp_path, capsys):
+        # 3000-digit entries are accepted; the inverse has entries of about
+        # 6000 digits, past Python's default limit of 4300
+        a, b = int("1" * 3000), int("2" * 2999 + "3")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, ["pinv", write(tmp_path, "m.json", [[a, b], [b, a]])])
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit
+        det = a * a - b * b
+        inverse = [[Fraction(a, det), Fraction(-b, det)], [Fraction(-b, det), Fraction(a, det)]]
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = [[f"{x.numerator}/{x.denominator}" for x in row] for row in inverse]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert json.loads(out) == expected
 
     def test_deep_nesting_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.json"

@@ -18,6 +18,7 @@ from fredpairs import (
     GenConfig,
     InvariantError,
     RatMatrix,
+    Subspace,
     chains,
     generators,
     pairs,
@@ -25,6 +26,7 @@ from fredpairs import (
     random_chain,
     random_pair,
     regularity_witness,
+    subspaces,
 )
 from fredpairs.cli import main
 
@@ -84,6 +86,42 @@ def test_induced_chain_maps(monkeypatch):
     chain = chains.ChainInstance((1, 1, 1), (mat([[1]]), mat([[1]])))
     with pytest.raises(InvariantError, match="induced maps"):
         quotient_chain(chain)
+
+
+# S swaps the last two coordinates and T keeps the first, so R(TS), R(ST),
+# and in the chain R(d_1 d_2) and R(d_2 d_3), are all span(e1), whose
+# orthogonal complement span(e2, e3) has two vectors to drop one of.
+SWAP = [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+FIRST = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "instance, flags",
+    [
+        ({"dim_x": 3, "dim_y": 3, "s": SWAP, "t": FIRST}, []),
+        ({"dims": [3, 3, 3, 3], "maps": [SWAP, FIRST, FIRST]}, ["--thm42"]),
+    ],
+    ids=["induced_pair", "quotient_chain"],
+)
+def test_internal_precondition_failure_exits_3(monkeypatch, tmp_path, capsys, instance, flags):
+    # With a kernel basis that drops a vector, the quotients the package builds
+    # itself no longer fit the maps: a bug in the package, not bad input.
+    kernel_basis = subspaces.kernel_basis
+
+    def dropping(a):
+        k = kernel_basis(a)
+        if not k.dim:
+            return k
+        return Subspace.spanned_by(RatMatrix(k.dim - 1, k.ambient_dim, k.basis.entries[:-1]))
+
+    monkeypatch.setattr(subspaces, "kernel_basis", dropping)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["verify", str(path), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant failed: ")
+    assert "killed_dom" in captured.err
 
 
 def test_generator_budgets(monkeypatch):

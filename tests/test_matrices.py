@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import _reference_kernels as reference
 from fredpairs import DimensionError, InputError, RatMatrix, block, direct_sum, hstack, vstack
+from fredpairs._kernels import rref_rows
 from fredpairs.generators import GenConfig, SplitMix64, random_matrix
+from fredpairs.matrices import _solve
 
 from conftest import mat
 
@@ -313,6 +315,41 @@ class TestRepresentation:
             with pytest.raises(DimensionError):
                 mat(rows).inverse()
         assert RatMatrix.zero(0, 0).inverse() == RatMatrix.zero(0, 0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_solve(self, data):
+        n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+        a, b = data.draw(rat_matrices(n, n)), data.draw(rat_matrices(n, k))
+        if a.rank < n:
+            with pytest.raises(DimensionError):
+                _solve(a, b)
+            return
+        x = _solve(a, b)
+        assert canonical(x)
+        assert a @ x == b
+        # the right half of the reference rref of [a | b]
+        aug = [ra + rb for ra, rb in zip(grid_of(a), grid_of(b))]
+        rows, pivots = reference.rref_rows(aug, n + k)
+        assert pivots == list(range(n))
+        assert grid_of(x) == [row[n:] for row in rows]
+
+    def test_solve_shapes(self):
+        with pytest.raises(DimensionError):
+            _solve(mat([[1, 2]]), mat([[1]]))
+        with pytest.raises(DimensionError):
+            _solve(RatMatrix.identity(2), mat([[1]]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5))
+    def test_zero_rref_matches_the_kernel(self, rows, cols):
+        z = RatMatrix.zero(rows, cols)
+        kernel_rows, kernel_pivots = rref_rows(z.num, cols)
+        result = z.rref()
+        assert result.reduced == RatMatrix._raw(rows, cols, kernel_rows, 1)
+        assert canonical(result.reduced)
+        assert list(result.pivot_columns) == kernel_pivots == []
+        assert result.rank == 0
 
     @settings(max_examples=60, deadline=None)
     @given(rat_matrices())

@@ -17,6 +17,7 @@ from fredpairs import (
     quotient_dim,
 )
 from fredpairs.generators import GenConfig, random_matrix
+from fredpairs.subspaces import lift, orthogonal_complement
 
 from conftest import mat
 
@@ -36,6 +37,24 @@ def spanning_sets(draw, n):
         first_two = mat(rows[:2], cols=n)
         rows.append([a + b for a, b in zip(first_two.row(0), first_two.row(1))])
     return Subspace.spanned_by(mat(rows, cols=n))
+
+
+@st.composite
+def killed_subspaces(draw, n):
+    """A subspace of Q^n to quotient by; the zero subspace a third of the time."""
+    return Subspace.zero(n) if draw(st.integers(0, 2)) == 0 else draw(spanning_sets(n))
+
+
+@st.composite
+def maps(draw, rows, cols):
+    grid = st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+    return mat(draw(grid), cols=cols)
+
+
+def complement_construction(n, killed):
+    """(projection, section) of Q^n / killed with no short-cut: C^T and (C C^T)^-1 C."""
+    c = orthogonal_complement(killed).basis
+    return (c @ c.transpose()).inverse() @ c, c.transpose()
 
 
 @st.composite
@@ -63,6 +82,12 @@ class TestKernelAndImage:
             a = random_matrix(cfg, 4, 5, rng.randint(0, 4), rng)
             k = kernel_basis(a)
             assert (a @ k.basis.transpose()).is_zero()
+
+    def test_zero_matrix_kernel_is_everything(self):
+        for rows in range(4):
+            for cols in range(5):
+                full = Subspace.spanned_by(RatMatrix.identity(cols))
+                assert kernel_basis(RatMatrix.zero(rows, cols)) == full == Subspace.full(cols)
 
     def test_image_examples(self):
         assert image_basis(mat([[1, 0], [0, 0]])) == span([[1, 0]])
@@ -161,6 +186,20 @@ class TestQuotient:
         assert q.quotient_dim == 0
         assert q.projection.shape == (0, 1)
 
+    def test_trivial_quotient_is_the_complement_construction(self):
+        for n in range(7):
+            q = quotient(n, Subspace.zero(n))
+            assert (q.projection, q.section) == complement_construction(n, Subspace.zero(n))
+            assert q.quotient_dim == n
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), killed_subspaces(n))))
+    def test_complement_construction(self, case):
+        n, killed = case
+        q = quotient(n, killed)
+        assert (q.projection, q.section) == complement_construction(n, killed)
+        assert q.quotient_dim == n - killed.dim
+
     def test_invariants_random(self):
         cfg = GenConfig(seed=23, max_dim=6)
         rng = cfg.rng()
@@ -188,6 +227,39 @@ class TestInducedMap:
         # the identity does not map span{(0,1)} into 0
         with pytest.raises(PreconditionError):
             induced_map(RatMatrix.identity(2), q_kill, q_triv)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_three_product_formula(self, data):
+        n_dom, n_cod = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        a = data.draw(maps(n_cod, n_dom))
+        killed_dom = data.draw(killed_subspaces(n_dom))
+        killed_cod = data.draw(killed_subspaces(n_cod))
+        if data.draw(st.booleans()):
+            killed_cod = killed_cod + push_image(a, killed_dom)
+        q_dom, q_cod = quotient(n_dom, killed_dom), quotient(n_cod, killed_cod)
+        if not killed_cod.contains(push_image(a, killed_dom)):
+            with pytest.raises(PreconditionError):
+                induced_map(a, q_dom, q_cod)
+            return
+        assert induced_map(a, q_dom, q_cod) == q_cod.projection @ a @ q_dom.section
+
+
+class TestLift:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_three_product_formula(self, data):
+        n_dom, n_cod = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        q_dom = quotient(n_dom, data.draw(killed_subspaces(n_dom)))
+        q_cod = quotient(n_cod, data.draw(killed_subspaces(n_cod)))
+        m = data.draw(maps(q_cod.quotient_dim, q_dom.quotient_dim))
+        assert lift(m, q_dom, q_cod) == q_cod.section @ m @ q_dom.projection
+
+    def test_shape_mismatch(self):
+        q = quotient(2, span([[0, 1]]))
+        with pytest.raises(DimensionError):
+            lift(RatMatrix.identity(2), q, q)
 
 
 class TestPushImage:
