@@ -18,9 +18,9 @@ from .pairs import PairInstance, TheoremReport, fredholm_data
 from .subspaces import (
     QuotientStructure,
     Subspace,
+    defect_numbers,
     image_basis,
     induced_map,
-    kernel_basis,
     lift,
     quotient,
 )
@@ -146,15 +146,19 @@ class QuotientChain:
 
 
 def chain_defects(c: ChainInstance) -> ChainDefects:
-    """Per-degree defect numbers and the alternating-sum index."""
+    """Per-degree defect numbers and the alternating-sum index.
+
+    (a_p, b_p) = ``defect_numbers(d_p, d_{p+1})``: the meet of N(d_p) and
+    R(d_{p+1}) is counted by Grassmann's formula from ranks alone, so no
+    subspace of X_p is built and a degree whose maps are zero costs no row
+    reduction.  Nothing here reads the composition ranges.
+    """
     a, b, d = [], [], []
     for p in range(c.top_degree + 1):
-        n_p = kernel_basis(c.delta(p))
-        r_next = image_basis(c.delta(p + 1))
-        meet = n_p & r_next
-        a.append(n_p.dim - meet.dim)
-        b.append(r_next.dim - meet.dim)
-        d.append(a[-1] - b[-1])
+        a_p, b_p = defect_numbers(c.delta(p), c.delta(p + 1))
+        a.append(a_p)
+        b.append(b_p)
+        d.append(a_p - b_p)
     index = sum(dp if p % 2 == 0 else -dp for p, dp in enumerate(d))
     return ChainDefects(a=tuple(a), b=tuple(b), d=tuple(d), index=index)
 

@@ -243,6 +243,8 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
+        if self.is_zero() or other.is_zero():
+            return RatMatrix.zero(self.rows, other.cols)
         num = mat_mul(self.num, other.num, self.rows, self.cols, other.cols)
         return RatMatrix._canonical(self.rows, other.cols, num, self.den * other.den)
 

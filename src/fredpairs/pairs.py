@@ -18,6 +18,7 @@ from .subspaces import (
     QuotientStructure,
     Subspace,
     complement,
+    defect_numbers,
     image_basis,
     induced_map,
     kernel_basis,
@@ -165,12 +166,15 @@ class TheoremReport:
 
 
 def pair_defects(p: PairInstance) -> PairDefects:
-    """The four defect numbers and the index a - b - c + d."""
-    n_s, r_t = kernel_basis(p.s), image_basis(p.t)
-    n_t, r_s = kernel_basis(p.t), image_basis(p.s)
-    meet_x, meet_y = n_s & r_t, n_t & r_s
-    a, b = n_s.dim - meet_x.dim, r_t.dim - meet_x.dim
-    c, d = n_t.dim - meet_y.dim, r_s.dim - meet_y.dim
+    """The four defect numbers and the index a - b - c + d.
+
+    (a, b) = ``defect_numbers(S, T)`` and (c, d) = ``defect_numbers(T, S)``
+    count each meet by Grassmann's formula from ranks alone, with no
+    canonical basis of N(S), R(T), N(T) or R(S).  The defects never read the
+    composition ranges, which are reported beside them.
+    """
+    a, b = defect_numbers(p.s, p.t)
+    c, d = defect_numbers(p.t, p.s)
     dim_st, dim_ts = composition_ranges(p)
     return PairDefects(
         a=a,
@@ -250,14 +254,17 @@ def build_extensions(
 
     Default mode takes pseudoinverses of the induced maps, which are
     normalized and compose to zero (the induced pair is a complex, so the
-    pseudoinverse family is one too).  Supplying custom quotient-level
-    inverses exercises the "any extensions" variant; they must actually be
-    generalized inverses of S~ and T~.
+    pseudoinverse family is one too); a default bundle that is not both
+    raises ``InvariantError``.  Supplying custom quotient-level inverses
+    exercises the "any extensions" variant; they must actually be
+    generalized inverses of S~ and T~, and the two extra identities are
+    only recorded.
     """
     ind = p.induced
     if (s_tilde_prime is None) != (t_tilde_prime is None):
         raise PreconditionError("supply both custom inverses or neither")
-    if s_tilde_prime is None:
+    default = s_tilde_prime is None
+    if default:
         s_tilde_prime = ind.s_tilde.pseudoinverse()
         t_tilde_prime = ind.t_tilde.pseudoinverse()
     else:
@@ -272,6 +279,10 @@ def build_extensions(
     chain_compatible = (s_tilde_prime @ t_tilde_prime).is_zero() and (
         t_tilde_prime @ s_tilde_prime
     ).is_zero()
+    if default and not normalized:
+        raise InvariantError("the pseudoinverses of the induced pair are not normalized")
+    if default and not chain_compatible:
+        raise InvariantError("the pseudoinverses of the induced pair do not compose to zero")
     s_prime = lift(s_tilde_prime, ind.q_y, ind.q_x)
     t_prime = lift(t_tilde_prime, ind.q_x, ind.q_y)
     return InverseBundle(

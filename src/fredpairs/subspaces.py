@@ -4,6 +4,13 @@ Every subspace is stored by its reduced row-echelon basis, so two subspaces
 are equal iff their basis matrices are identical.  Complements are always the
 orthogonal complement under the standard dot product, which makes every
 choice in the package deterministic.
+
+The defect numbers need only dimensions, so ``defect_numbers`` builds no
+subspace: by Grassmann's formula dim(U & V) = dim U + dim V - dim(U + V),
+the meet of N(A) and R(B) is counted from the ranks already cached on A and
+B and the rank of one stack of a basis of each.  Since such counts satisfy
+rank-nullity whatever the ranks are, A is checked to annihilate the null
+rows that are counted.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, InvariantError, PreconditionError
 from .matrices import RatMatrix, _solve, block, vstack
 
 
@@ -101,15 +108,17 @@ class QuotientStructure:
     section: RatMatrix  # ambient_dim x quotient_dim
 
 
-def kernel_basis(a: RatMatrix) -> Subspace:
-    """The null space {x : Ax = 0} as a canonical subspace of the domain."""
+def _null_rows(a: RatMatrix) -> list[list[int]]:
+    """A basis of {x : Ax = 0} as integer rows, one per free column of rref(A).
+
+    The vector of free column f is den at f, minus column f of the reduced
+    rows at the pivots and zero elsewhere; scaling by den keeps it integral
+    and does not change the span.  The rows are independent but not reduced.
+    """
     result = a.rref()
-    if not result.rank:
-        return Subspace.full(a.cols)
     red, pivots = result.reduced, result.pivot_columns
     pivot_set = set(pivots)
     vectors = []
-    # Each vector is scaled by red.den to integers; scaling does not change the span.
     for free in range(a.cols):
         if free in pivot_set:
             continue
@@ -118,7 +127,48 @@ def kernel_basis(a: RatMatrix) -> Subspace:
         for r, p in enumerate(pivots):
             v[p] = -red.num[r][free]
         vectors.append(v)
+    return vectors
+
+
+def kernel_basis(a: RatMatrix) -> Subspace:
+    """The null space {x : Ax = 0} as a canonical subspace of the domain."""
+    if not a.rank:
+        return Subspace.full(a.cols)
+    vectors = _null_rows(a)
     return Subspace.spanned_by(RatMatrix._raw(len(vectors), a.cols, vectors, 1))
+
+
+def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
+    """(dim N(A)/(N(A) & R(B)), dim R(B)/(N(A) & R(B))) for A after B.
+
+    By Grassmann's formula the meet has dimension
+    nullity(A) + rank(B) - dim(N(A) + R(B)).  The null rows of A and the
+    pivot columns of B are bases of N(A) and R(B), so the sum's dimension is
+    the rank of their stack, an integer matrix over denominator 1 (B's
+    common denominator scales its columns and leaves their span alone).  No
+    canonical basis is built, and nothing is derived from the product AB.
+
+    The two numbers differ by cols(A) - rank(A) - rank(B) whatever the ranks
+    are, so an index summed from them cannot show a rank that is too small.
+    A is therefore checked to map each null row to zero, which bounds
+    rank(A) from above; a failure raises ``InvariantError``.
+    """
+    if a.cols != b.rows:
+        raise DimensionError(f"cannot compose {a.shape} after {b.shape}")
+    n = a.cols
+    nullity, rank_b = n - a.rank, b.rank
+    if nullity == n:  # N(A) is everything, so the meet is R(B)
+        if not a.is_zero():
+            raise InvariantError("the rref gives a nonzero matrix rank 0")
+        return nullity - rank_b, 0
+    null = _null_rows(a)
+    if null and not (RatMatrix._raw(nullity, n, null, 1) @ a.transpose()).is_zero():
+        raise InvariantError("a null row of the rref is not in the null space")
+    if not nullity or not rank_b:
+        return nullity, rank_b
+    rows = null + [[row[c] for row in b.num] for c in b.rref().pivot_columns]
+    meet = len(rows) - RatMatrix._raw(len(rows), n, rows, 1).rank
+    return nullity - meet, rank_b - meet
 
 
 def image_basis(a: RatMatrix) -> Subspace:

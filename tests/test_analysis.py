@@ -15,6 +15,7 @@ import pytest
 import fredpairs
 from fredpairs import (
     ChainInstance,
+    InvariantError,
     PairInstance,
     RatMatrix,
     build_extensions,
@@ -243,7 +244,15 @@ def test_default_bundle_is_moore_penrose():
     ids=["twice", "transpose"],
 )
 def test_bundle_check_catches_a_wrong_pseudoinverse(monkeypatch, corrupt):
+    # The Moore-Penrose check above fails on the corrupted inverses ...
+    instances = [replace(p) for p in PAIRS] + [replace(c).folded for c in CHAINS]
+    assert any(
+        penrose_failures(m, corrupt(m.pseudoinverse()))
+        for pair in instances
+        for m in (pair.induced.s_tilde, pair.induced.t_tilde)
+    )
+    # ... and build_extensions refuses them before any bundle is made.
     pseudoinverse = RatMatrix.pseudoinverse
     monkeypatch.setattr(RatMatrix, "pseudoinverse", lambda self: corrupt(pseudoinverse(self)))
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError, match="pseudoinverses of the induced pair"):
         check_default_bundles()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fredpairs import PairInstance, cli
+from fredpairs import PairInstance, RatMatrix, cli, matrices
 from fredpairs.cli import main
 
 W2 = {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}
@@ -89,11 +89,43 @@ class TestChainReport:
         assert report["d"] == [0, -1, 0]
         assert report["euler_characteristic"] == 1
 
+    def test_single_space_builds_no_identity(self, tmp_path, capsys, monkeypatch):
+        # The defects of {"dims": [N]} are counted from ranks; an N x N
+        # identity basis of N(d_0) would cost N^2 memory.
+        def refuse(n):
+            raise AssertionError(f"built a {n}x{n} identity")
+
+        monkeypatch.setattr(RatMatrix, "identity", staticmethod(refuse))
+        path = write(tmp_path, "c.json", {"dims": [50], "maps": []})
+        code, out, err = run(capsys, ["chain-report", path])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert (report["a"], report["b"], report["index"]) == ([50], [0], 50)
+
     def test_boolean_dimension_rejected(self, tmp_path, capsys):
         obj = {"dims": [True, 1], "maps": [[[1]]]}
         code, out, err = run(capsys, ["chain-report", write(tmp_path, "bad.json", obj)])
         assert code == 2
         assert out == "" and "dims" in err
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [("pair-report", W2), ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]})],
+)
+def test_report_with_a_rank_too_small_exits_3(tmp_path, capsys, monkeypatch, command, obj):
+    # Counted from ranks, the printed index is dim_x - dim_y (or the Euler
+    # characteristic) even when a rank is wrong; the null-row check is what
+    # stops the report.
+    rref_rows = matrices.rref_rows
+
+    def lose_last_pivot(rows, ncols):
+        reduced, pivots = rref_rows(rows, ncols)
+        return reduced, pivots[:-1]
+
+    monkeypatch.setattr(matrices, "rref_rows", lose_last_pivot)
+    code, out, err = run(capsys, [command, write(tmp_path, "in.json", obj)])
+    assert (code, out) == (3, "") and "rref" in err
 
 
 class TestVerify:

@@ -73,6 +73,30 @@ def test_cli_exits_3(wrong_pseudoinverse, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("invariant failed: ")
 
 
+@pytest.mark.parametrize(
+    "instance, flags",
+    [
+        # S T = T S = 0, so S~ = S and T~ = T, both nonzero
+        ({"dim_x": 2, "dim_y": 2, "s": [[1, 0], [0, 0]], "t": [[0, 0], [0, 1]]}, []),
+        (CHAIN, ["--thm42"]),
+    ],
+    ids=["pair", "chain"],
+)
+def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, flags):
+    # For A != 0, X = 2 A+ gives X A X = 4 A+ != X: not normalized.  On the
+    # chain the per-degree inverses still compose to zero, so the folded
+    # pair's default bundle is what refuses it.
+    pseudoinverse = RatMatrix.pseudoinverse
+    monkeypatch.setattr(RatMatrix, "pseudoinverse", lambda self: pseudoinverse(self).scale(2))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["verify", str(path), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant failed: ")
+    assert "not normalized" in captured.err
+
+
 def test_induced_pair(monkeypatch):
     # an "induced map" that ignores its quotients leaves S~ T~ = S T != 0
     monkeypatch.setattr(pairs, "induced_map", lambda a, q_dom, q_cod: a)

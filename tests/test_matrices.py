@@ -1,4 +1,5 @@
 from fractions import Fraction
+import itertools
 from math import gcd
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import _reference_kernels as reference
 from fredpairs import DimensionError, InputError, RatMatrix, block, direct_sum, hstack, vstack
-from fredpairs._kernels import rref_rows
+from fredpairs._kernels import mat_mul, rref_rows
 from fredpairs.generators import GenConfig, SplitMix64, random_matrix
 from fredpairs.matrices import _solve
 
@@ -263,6 +264,28 @@ class TestRepresentation:
         product = a @ b
         assert canonical(product)
         assert grid_of(product) == reference.mat_mul(grid_of(a), grid_of(b), m, k, n)
+
+    def test_zero_operand_product_matches_the_kernel(self):
+        # The zero short-cut must give what mat_mul and the gcd pass give.
+        def halves(rows, cols):
+            return RatMatrix(rows, cols, [["1/2"] * cols] * rows)
+
+        for m, k, n in itertools.product(range(3), repeat=3):
+            for a, b in [
+                (RatMatrix.zero(m, k), halves(k, n)),
+                (halves(m, k), RatMatrix.zero(k, n)),
+                (RatMatrix.zero(m, k), RatMatrix.zero(k, n)),
+            ]:
+                result = a @ b
+                kernel = RatMatrix._canonical(
+                    m, n, mat_mul(a.num, b.num, m, k, n), a.den * b.den
+                )
+                assert canonical(result)
+                assert (result.shape, result.num, result.den) == (
+                    kernel.shape,
+                    kernel.num,
+                    kernel.den,
+                )
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())

@@ -1,0 +1,116 @@
+"""Every verifier check can fail: mutations of the package and what they flip.
+
+Each mutation replaces one module global of the package, as a bug there
+would change it, and must flip exactly a known set of named checks over a
+fixed seeded set of fuzz pairs and chains.  Per-degree checks are named
+without their degree suffix.  The same set passes every check unmutated, so
+each flip is the mutation's doing.
+"""
+
+import re
+from dataclasses import replace
+
+import pytest
+
+from fredpairs import (
+    chains,
+    pairs,
+    verify_remark_2_3,
+    verify_theorem_3_4,
+    verify_theorem_3_6,
+    verify_theorem_4_2,
+    verify_theorem_4_4,
+)
+from fredpairs.generators import GenConfig, random_chain, random_pair
+
+# The 19 named checks of the five verifiers.
+CHECKS = frozenset(
+    {
+        "index_eq_s_plus",
+        "index_eq_neg_t_plus",
+        "intermediate_identity",
+        "s_one_same_index",
+        "finite_rank_difference",
+        "block_diagonal",
+        "corrector_rank_bound",
+        "hodge_nullity_a",
+        "hodge_nullity_c",
+        "index_matches_pair",
+        "index_matches_euler",
+        "composition_defects_match",
+        "index_even",
+        "index_odd",
+        "even_matches_folded",
+        "odd_matches_folded",
+        "nullity_matches_a",
+        "zero_index",
+        "perturbation_rank",
+    }
+)
+
+
+def _fuzz_set():
+    cfg = GenConfig(seed=61, max_dim=6)
+    rng = cfg.rng()
+    fuzz_pairs = [random_pair(cfg, rng) for _ in range(20)]
+    fuzz_chains = [random_chain(cfg, rng.randint(1, 4), rng) for _ in range(20)]
+    return fuzz_pairs, fuzz_chains
+
+
+PAIRS, CHAINS = _fuzz_set()
+
+
+def failed_checks() -> set[str]:
+    """The named checks that fail on fresh copies of the seeded set."""
+    reports = []
+    for pair in map(replace, PAIRS):
+        reports += [verify_theorem_3_4(pair), verify_theorem_3_6(pair)]
+    for chain in map(replace, CHAINS):
+        reports += [verify_remark_2_3(chain), verify_theorem_4_2(chain), verify_theorem_4_4(chain)]
+        reports += [verify_theorem_3_4(chain.folded), verify_theorem_3_6(chain.folded)]
+    failed = set()
+    for report in reports:
+        for key, value in report.details.items():
+            name = re.sub(r"_\d+$", "", key)
+            if name in CHECKS and value is False:
+                failed.add(name)
+    return failed
+
+
+def meet_one_short(defect_numbers):
+    """Count the meet N(A) & R(B) one short whenever it is not zero, as a meet
+    that drops its last basis row would: both defects grow by one."""
+
+    def wrong(a, b):
+        a_defect, b_defect = defect_numbers(a, b)
+        meet = a.cols - a.rank - a_defect
+        return (a_defect + 1, b_defect + 1) if meet else (a_defect, b_defect)
+
+    return wrong
+
+
+# name -> (module globals to replace, mutation of the original, checks it flips)
+MUTATIONS = {
+    "meet_one_short": (
+        [(pairs, "defect_numbers"), (chains, "defect_numbers")],
+        meet_one_short,
+        {
+            "composition_defects_match",
+            "nullity_matches_a",
+            "hodge_nullity_a",
+            "hodge_nullity_c",
+        },
+    ),
+}
+
+
+def test_unmutated_set_passes():
+    assert failed_checks() == set()
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_mutation_flips_its_checks(monkeypatch, name):
+    targets, mutate, flipped = MUTATIONS[name]
+    for module, attribute in targets:
+        monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    assert failed_checks() == flipped

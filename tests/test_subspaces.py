@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 import _reference_subspaces as reference
 from fredpairs import (
     DimensionError,
+    InvariantError,
     PreconditionError,
     RatMatrix,
     Subspace,
     complement,
+    hstack,
     image_basis,
     induced_map,
     kernel_basis,
@@ -16,8 +18,9 @@ from fredpairs import (
     quotient,
     quotient_dim,
 )
+from fredpairs import matrices
 from fredpairs.generators import GenConfig, random_matrix
-from fredpairs.subspaces import lift, orthogonal_complement
+from fredpairs.subspaces import defect_numbers, lift, orthogonal_complement
 
 from conftest import mat
 
@@ -93,6 +96,60 @@ class TestKernelAndImage:
         assert image_basis(mat([[1, 0], [0, 0]])) == span([[1, 0]])
         assert image_basis(RatMatrix.zero(2, 2)) == Subspace.zero(2)
         assert image_basis(mat([[1], [0]])) == span([[1, 0]], cols=2)
+
+
+@st.composite
+def composable_maps(draw, max_dim=6):
+    """(A, B) with A after B; one of them zero half the time, and sometimes
+    with columns of B chosen inside N(A), so that the meet is not zero."""
+    m, n, k = (draw(st.integers(0, max_dim)) for _ in range(3))
+    a, b = draw(maps(m, n)), draw(maps(n, k))
+    kind = draw(st.sampled_from(["random", "zero_a", "zero_b", "meeting"]))
+    if kind == "zero_a":
+        a = RatMatrix.zero(m, n)
+    elif kind == "zero_b":
+        b = RatMatrix.zero(n, k)
+    elif kind == "meeting":
+        null = kernel_basis(a).basis.transpose()
+        b = hstack(null @ draw(maps(null.cols, draw(st.integers(1, 3)))), b)
+    return a, b
+
+
+class TestDefectNumbers:
+    @settings(max_examples=200, deadline=None)
+    @given(composable_maps())
+    def test_matches_the_meet(self, maps_ab):
+        # Zassenhaus' meet of the canonical subspaces is the oracle.
+        a, b = maps_ab
+        n, r = kernel_basis(a), image_basis(b)
+        meet = (n & r).dim
+        assert defect_numbers(a, b) == (n.dim - meet, r.dim - meet)
+
+    def test_examples(self):
+        # N(A) = span(e2) = R(B): the meet is everything of both
+        assert defect_numbers(mat([[1, 0]]), mat([[0], [1]])) == (0, 0)
+        # R(B) = span(e1) misses N(A) = span(e2)
+        assert defect_numbers(mat([[1, 0]]), mat([[1], [0]])) == (1, 1)
+        assert defect_numbers(RatMatrix.zero(0, 3), RatMatrix.zero(3, 0)) == (3, 0)
+        assert defect_numbers(RatMatrix.zero(2, 0), RatMatrix.zero(0, 2)) == (0, 0)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            defect_numbers(RatMatrix.zero(1, 2), RatMatrix.zero(3, 1))
+
+    @pytest.mark.parametrize("a", [[[1, 0]], [[1, 0, 0], [0, 1, 0]]], ids=["rank_0", "null_rows"])
+    def test_a_rank_too_small_raises(self, monkeypatch, a):
+        # The defects differ by cols - rank(A) - rank(B) for any ranks, so a
+        # rref that loses a pivot must be caught by the null-row check.
+        rref_rows = matrices.rref_rows
+
+        def lose_last_pivot(rows, ncols):
+            reduced, pivots = rref_rows(rows, ncols)
+            return reduced, pivots[:-1]
+
+        monkeypatch.setattr(matrices, "rref_rows", lose_last_pivot)
+        with pytest.raises(InvariantError):
+            defect_numbers(mat(a), RatMatrix.zero(len(a[0]), 1))
 
 
 class TestLattice:
