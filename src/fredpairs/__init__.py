@@ -33,22 +33,17 @@ from .pairs import (
     fredholm_data,
     induced_pair,
     pair_defects,
-    regularity_witness,
     verify_theorem_3_4,
     verify_theorem_3_6,
 )
 from .subspaces import (
-    ComplementWitness,
     QuotientStructure,
     Subspace,
-    complement,
     image_basis,
     induced_map,
     kernel_basis,
     orthogonal_complement,
-    push_image,
     quotient,
-    quotient_dim,
 )
 
 __version__ = "0.1.0"

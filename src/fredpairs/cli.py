@@ -125,9 +125,7 @@ def cmd_chain_report(args) -> int:
     defects = chain_defects(chain)
     obj = defects.to_json_obj()
     obj["dims"] = list(chain.dims)
-    obj["euler_characteristic"] = sum(
-        d if p % 2 == 0 else -d for p, d in enumerate(chain.dims)
-    )
+    obj["euler_characteristic"] = chain.euler_characteristic
     print(json.dumps(obj))
     return 0
 

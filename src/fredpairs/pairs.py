@@ -14,14 +14,11 @@ from functools import cached_property
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
 from .matrices import RatMatrix, block, direct_sum
 from .subspaces import (
-    ComplementWitness,
     QuotientStructure,
     Subspace,
-    complement,
     defect_numbers,
     image_basis,
     induced_map,
-    kernel_basis,
     lift,
     quotient,
 )
@@ -223,24 +220,6 @@ def induced_pair(p: PairInstance) -> InducedPair:
     return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
 
 
-def regularity_witness(
-    a: RatMatrix,
-) -> tuple[ComplementWitness, ComplementWitness, RatMatrix]:
-    """Orthogonal complements of N(A) and R(A) plus the inverse they induce.
-
-    The generalized inverse determined by the two orthogonal complements is
-    the pseudoinverse: gi @ A projects onto the kernel complement along N(A),
-    A @ gi projects onto R(A) along its complement.  ``InvariantError`` is
-    raised if gi fails the Penrose identity A gi A = A.
-    """
-    kernel_comp = complement(kernel_basis(a), Subspace.full(a.cols))
-    range_comp = complement(image_basis(a), Subspace.full(a.rows))
-    gi = a.pseudoinverse()
-    if a @ gi @ a != a:
-        raise InvariantError("the pseudoinverse fails A @ gi @ A == A")
-    return kernel_comp, range_comp, gi
-
-
 def _is_generalized_inverse(a: RatMatrix, b: RatMatrix) -> bool:
     return a @ b @ a == a
 
@@ -253,10 +232,11 @@ def build_extensions(
     """Build zero-extended generalized inverses S', T' for the pair.
 
     Default mode takes pseudoinverses of the induced maps, which are
-    normalized and compose to zero (the induced pair is a complex, so the
-    pseudoinverse family is one too); a default bundle that is not both
-    raises ``InvariantError``.  Supplying custom quotient-level inverses
-    exercises the "any extensions" variant; they must actually be
+    generalized inverses, normalized, and compose to zero (the induced pair
+    is a complex, so the pseudoinverse family is one too); a default bundle
+    that fails any of the three raises ``InvariantError``.  X = 0 passes the
+    last two, so only A X A = A refuses it.  Supplying custom quotient-level
+    inverses exercises the "any extensions" variant; they must actually be
     generalized inverses of S~ and T~, and the two extra identities are
     only recorded.
     """
@@ -267,11 +247,6 @@ def build_extensions(
     if default:
         s_tilde_prime = ind.s_tilde.pseudoinverse()
         t_tilde_prime = ind.t_tilde.pseudoinverse()
-    else:
-        if not _is_generalized_inverse(ind.s_tilde, s_tilde_prime):
-            raise PreconditionError("custom s_tilde_prime is not a generalized inverse")
-        if not _is_generalized_inverse(ind.t_tilde, t_tilde_prime):
-            raise PreconditionError("custom t_tilde_prime is not a generalized inverse")
     normalized = (
         _is_generalized_inverse(s_tilde_prime, ind.s_tilde)
         and _is_generalized_inverse(t_tilde_prime, ind.t_tilde)
@@ -283,6 +258,11 @@ def build_extensions(
         raise InvariantError("the pseudoinverses of the induced pair are not normalized")
     if default and not chain_compatible:
         raise InvariantError("the pseudoinverses of the induced pair do not compose to zero")
+    error, kind = (InvariantError, "default") if default else (PreconditionError, "custom")
+    if not _is_generalized_inverse(ind.s_tilde, s_tilde_prime):
+        raise error(f"{kind} s_tilde_prime is not a generalized inverse")
+    if not _is_generalized_inverse(ind.t_tilde, t_tilde_prime):
+        raise error(f"{kind} t_tilde_prime is not a generalized inverse")
     s_prime = lift(s_tilde_prime, ind.q_y, ind.q_x)
     t_prime = lift(t_tilde_prime, ind.q_x, ind.q_y)
     return InverseBundle(
@@ -319,10 +299,14 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
       3. ind(S, T) - dim R(TS) + dim R(ST) = ind(S~, T~)
       4. index(S + T') = index(S1 + T') where S1 lifts S~ and vanishes on
          R(TS); rank(S - S1) <= dim R(ST) + dim R(TS)
+
+    An m x n matrix has index n - m, so all but ``finite_rank_difference``
+    are shape-determined once the defects obey rank-nullity.
     """
     defects, ind, bundle = p.defects, p.induced, p.extensions
-    _, _, index_s_plus = fredholm_data(bundle.s_plus)
-    _, _, index_t_plus = fredholm_data(bundle.t_plus)
+    # nullity - corank = (cols - r) - (rows - r) for every rank r, so no rank can change these
+    index_s_plus = bundle.s_plus.cols - bundle.s_plus.rows
+    index_t_plus = bundle.t_plus.cols - bundle.t_plus.rows
 
     tilde_pair = PairInstance(
         ind.q_x.quotient_dim, ind.q_y.quotient_dim, ind.s_tilde, ind.t_tilde
@@ -330,7 +314,7 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
     tilde_index = pair_defects(tilde_pair).index
 
     s_one = lift(ind.s_tilde, ind.q_x, ind.q_y)
-    _, _, index_s_one_plus = fredholm_data(s_one + bundle.t_prime)
+    index_s_one_plus = s_one.cols - s_one.rows  # S1 + T' has the shape of S1
     rank_diff = (p.s - s_one).rank
     rank_bound = defects.dim_range_st + defects.dim_range_ts
 
@@ -369,6 +353,7 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
     bound and the quotient-level kernel identities (nullity of the two
     quotient Laplacians equal to a and c) are asserted only for
     chain-compatible bundles, and merely reported otherwise.
+    ``block_diagonal`` is shape-determined: [[0, A], [B, 0]]^2 = diag(AB, BA).
     """
     defects, ind = p.defects, p.induced
     if b is None:

@@ -81,16 +81,6 @@ class Subspace:
         self._require_same_ambient(other)
         return (self + other).dim == self.dim
 
-    def to_json_obj(self) -> dict:
-        return {"ambient": self.ambient_dim, "basis": self.basis.to_json_obj()}
-
-
-@dataclass(frozen=True)
-class ComplementWitness:
-    within: Subspace
-    part: Subspace
-    complement: Subspace
-
 
 @dataclass(frozen=True)
 class QuotientStructure:
@@ -181,25 +171,6 @@ def orthogonal_complement(u: Subspace) -> Subspace:
     return kernel_basis(u.basis)
 
 
-def quotient_dim(u: Subspace, v: Subspace) -> int:
-    """dim U/V for V contained in U."""
-    if not u.contains(v):
-        raise PreconditionError("quotient_dim requires V contained in U")
-    return u.dim - v.dim
-
-
-def complement(part: Subspace, within: Subspace) -> ComplementWitness:
-    """Orthogonal complement of ``part`` inside ``within``.
-
-    The standard dot product is positive definite on Q^n, so the complement
-    always exists and the direct-sum invariants hold exactly.
-    """
-    if not within.contains(part):
-        raise PreconditionError("complement requires part contained in within")
-    comp = within & orthogonal_complement(part)
-    return ComplementWitness(within=within, part=part, complement=comp)
-
-
 def quotient(ambient_dim: int, killed: Subspace) -> QuotientStructure:
     """Materialize Q^ambient_dim / killed with orthogonal section.
 
@@ -224,13 +195,6 @@ def quotient(ambient_dim: int, killed: Subspace) -> QuotientStructure:
         projection=_solve(c @ section, c),
         section=section,
     )
-
-
-def push_image(a: RatMatrix, u: Subspace) -> Subspace:
-    """The image A(U) as a canonical subspace of the codomain."""
-    if a.cols != u.ambient_dim:
-        raise DimensionError("matrix does not act on the subspace's ambient space")
-    return Subspace.spanned_by((a @ u.basis.transpose()).transpose())
 
 
 def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> RatMatrix:

@@ -1,12 +1,44 @@
-"""Reference intersection for the parity tests in ``test_subspaces.py``.
+"""Reference subspace constructions that the tests use as oracles.
 
-The formula through orthogonal complements, U & V = (U^o + V^o)^o, which
-``Subspace.__and__`` computed before it used Zassenhaus' elimination.  Both
-must return the identical canonical subspace.
+``meet`` is the formula through orthogonal complements,
+U & V = (U^o + V^o)^o, which ``Subspace.__and__`` computed before it used
+Zassenhaus' elimination; both must return the identical canonical subspace.
+``push_image`` and ``complement`` build the images and complements in which
+the tests state the paper's transport identities; the package itself never
+needs them.
 """
 
+from dataclasses import dataclass
+
+from fredpairs import DimensionError, PreconditionError, RatMatrix, Subspace
 from fredpairs import orthogonal_complement
 
 
 def meet(u, v):
     return orthogonal_complement(orthogonal_complement(u) + orthogonal_complement(v))
+
+
+def push_image(a: RatMatrix, u: Subspace) -> Subspace:
+    """The image A(U) as a canonical subspace of the codomain."""
+    if a.cols != u.ambient_dim:
+        raise DimensionError("matrix does not act on the subspace's ambient space")
+    return Subspace.spanned_by((a @ u.basis.transpose()).transpose())
+
+
+@dataclass(frozen=True)
+class ComplementWitness:
+    within: Subspace
+    part: Subspace
+    complement: Subspace
+
+
+def complement(part: Subspace, within: Subspace) -> ComplementWitness:
+    """Orthogonal complement of ``part`` inside ``within``.
+
+    The standard dot product is positive definite on Q^n, so the complement
+    always exists and the direct-sum invariants hold exactly.
+    """
+    if not within.contains(part):
+        raise PreconditionError("complement requires part contained in within")
+    comp = within & orthogonal_complement(part)
+    return ComplementWitness(within=within, part=part, complement=comp)

@@ -14,12 +14,10 @@ from fredpairs import (
     GenConfig,
     Subspace,
     chain_defects,
-    complement,
     image_basis,
     induced_pair,
     kernel_basis,
     pair_defects,
-    push_image,
     quotient_chain,
     random_chain,
     random_matrix,
@@ -31,6 +29,8 @@ from fredpairs import (
     verify_theorem_4_4,
 )
 from fredpairs.cli import main
+
+from _reference_subspaces import complement, push_image
 
 PAIR_COUNT = 500
 CHAIN_COUNT = 300

@@ -162,6 +162,33 @@ class TestComputedOnce:
         bundle = pair.extensions
         assert times(sums, pair.s, bundle.t_prime) == times(sums, pair.t, bundle.s_prime) == 1
 
+    def test_no_rank_is_taken_for_an_index(self, monkeypatch):
+        # S + T', T + S' and the two parity operators are only ever read for
+        # their index, which their shapes determine, so none is row reduced.
+        def nonzero_plus(pair):
+            bundle = pair.extensions
+            return not (bundle.s_plus.is_zero() or bundle.t_plus.is_zero())
+
+        pair = replace(next(p for p in PAIRS if nonzero_plus(p)))
+        chain = replace(next(c for c in CHAINS if nonzero_plus(c.folded)))
+        reduced, parity = [], []
+        rref, parity_operator = RatMatrix.rref, chains._parity_operator
+
+        def recorded_rref(m):
+            reduced.append(m)
+            return rref(m)
+
+        def recorded_parity(*args):
+            parity.append(parity_operator(*args))
+            return parity[-1]
+
+        monkeypatch.setattr(RatMatrix, "rref", recorded_rref)
+        monkeypatch.setattr(chains, "_parity_operator", recorded_parity)
+        assert verify_theorem_3_4(pair).passed and verify_theorem_4_2(chain).passed
+        assert reduced and len(parity) == 2
+        indexed = (pair.extensions.s_plus, pair.extensions.t_plus, *parity)
+        assert not any(m is x for m in reduced for x in indexed)
+
     def test_theorem_4_4_forms_no_composition(self, monkeypatch):
         chain = replace(next(c for c in CHAINS if len(c.maps) >= 2))
         chain.quotient  # forms the compositions it quotients by, before recording

@@ -50,8 +50,8 @@ class TestChainInstance:
         assert c.delta(7).shape == (0, 0)
 
     def test_is_complex(self):
-        assert exact_complex().is_complex()
-        assert not non_complex_chain().is_complex()
+        assert not any(r.dim for r in exact_complex().composition_ranges)
+        assert any(r.dim for r in non_complex_chain().composition_ranges)
 
 
 class TestChainDefects:

@@ -68,7 +68,7 @@ class TestRandomChain:
     def test_complex_only(self):
         cfg = GenConfig(seed=5, max_dim=5, complex_only=True)
         c = random_chain(cfg, 4)
-        assert c.is_complex()
+        assert not any(r.dim for r in c.composition_ranges)
 
     def test_budget_respected(self):
         for seed in range(8):

@@ -17,15 +17,16 @@ import fredpairs
 from fredpairs import (
     GenConfig,
     InvariantError,
+    PairInstance,
     RatMatrix,
     Subspace,
+    build_extensions,
     chains,
     generators,
     pairs,
     quotient_chain,
     random_chain,
     random_pair,
-    regularity_witness,
     subspaces,
 )
 from fredpairs.cli import main
@@ -35,6 +36,8 @@ from conftest import mat
 # d_1 d_2 = 0 and both maps are nonzero, so quotient_chain composes two
 # nonzero pseudoinverses and checks that they compose to zero.
 CHAIN = {"dims": [1, 2, 1], "maps": [[[0, 1]], [[1], [0]]]}
+# S T = T S = 0, so S~ = S and T~ = T, both nonzero
+PAIR = {"dim_x": 2, "dim_y": 2, "s": [[1, 0], [0, 0]], "t": [[0, 0], [0, 1]]}
 
 
 def off_in_one_entry(pseudoinverse):
@@ -55,9 +58,15 @@ def wrong_pseudoinverse(monkeypatch):
     )
 
 
-def test_regularity_witness(wrong_pseudoinverse):
-    with pytest.raises(InvariantError, match="pseudoinverse"):
-        regularity_witness(mat([[1, 2], [2, 4]]))
+@pytest.fixture
+def zero_pseudoinverse(monkeypatch):
+    # X = 0 satisfies X A X = X and composes to zero, but fails A X A = A
+    monkeypatch.setattr(RatMatrix, "pseudoinverse", lambda self: RatMatrix.zero(self.cols, self.rows))
+
+
+def test_build_extensions(zero_pseudoinverse):
+    with pytest.raises(InvariantError, match="not a generalized inverse"):
+        build_extensions(PairInstance.from_json_obj(PAIR))
 
 
 def test_quotient_chain(wrong_pseudoinverse):
@@ -75,11 +84,7 @@ def test_cli_exits_3(wrong_pseudoinverse, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "instance, flags",
-    [
-        # S T = T S = 0, so S~ = S and T~ = T, both nonzero
-        ({"dim_x": 2, "dim_y": 2, "s": [[1, 0], [0, 0]], "t": [[0, 0], [0, 1]]}, []),
-        (CHAIN, ["--thm42"]),
-    ],
+    [(PAIR, []), (CHAIN, ["--thm42"])],
     ids=["pair", "chain"],
 )
 def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, flags):
@@ -95,6 +100,19 @@ def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, f
     assert captured.out == ""
     assert captured.err.startswith("invariant failed: ")
     assert "not normalized" in captured.err
+
+
+@pytest.mark.parametrize("instance, flags", [(PAIR, []), (CHAIN, ["--thm42"])], ids=["pair", "chain"])
+def test_zero_pseudoinverse_exits_3(zero_pseudoinverse, tmp_path, capsys, instance, flags):
+    # On the chain the per-degree inverses are zero and compose to zero, so
+    # the folded pair's default bundle is what refuses them.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["verify", str(path), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant failed: ")
+    assert "not a generalized inverse" in captured.err
 
 
 def test_induced_pair(monkeypatch):
@@ -169,19 +187,20 @@ def test_checks_survive_optimized_python(tmp_path):
     path.write_text(json.dumps(CHAIN))
     code = (
         "import sys\n"
-        "from fredpairs import InvariantError, RatMatrix, regularity_witness\n"
+        "from fredpairs import InvariantError, PairInstance, RatMatrix, build_extensions\n"
         "from fredpairs.cli import main\n"
         "print(__debug__)\n"
         "good = RatMatrix.pseudoinverse\n"
+        "RatMatrix.pseudoinverse = lambda self: RatMatrix.zero(self.cols, self.rows)\n"
+        "try:\n"
+        f"    build_extensions(PairInstance.from_json_obj({PAIR!r}))\n"
+        "except InvariantError as exc:\n"
+        "    print(exc)\n"
         "def wrong(self):\n"
         "    g = good(self)\n"
         "    unit = [[int(i == j == 0) for j in range(g.cols)] for i in range(g.rows)]\n"
         "    return g + RatMatrix(g.rows, g.cols, unit)\n"
         "RatMatrix.pseudoinverse = wrong\n"
-        "try:\n"
-        "    regularity_witness(RatMatrix.from_rows([[1, 2], [2, 4]]))\n"
-        "except InvariantError:\n"
-        "    print('InvariantError')\n"
         "sys.stdout.flush()\n"
         f"sys.exit(main(['verify', {str(path)!r}, '--thm42']))\n"
     )
@@ -193,5 +212,6 @@ def test_checks_survive_optimized_python(tmp_path):
         timeout=60,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert (done.returncode, done.stdout) == (3, "False\nInvariantError\n"), done.stderr
+    penrose = "default s_tilde_prime is not a generalized inverse"
+    assert (done.returncode, done.stdout) == (3, f"False\n{penrose}\n"), done.stderr
     assert done.stderr.startswith("invariant failed: ")

