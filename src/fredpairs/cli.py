@@ -30,7 +30,7 @@ from .chains import (
     verify_theorem_4_4,
 )
 from .errors import FredpairsError, InputError, InvariantError
-from .generators import GenConfig, SplitMix64, child_seed, random_chain, random_pair
+from .generators import GenConfig, child_seed, random_chain, random_pair
 from .matrices import RatMatrix
 from .pairs import PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
 

@@ -55,7 +55,7 @@ def _parse_rat_string(text: str) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _encode_rat(value: Fraction):
+def _encode_rat(value: Fraction | int):
     if value.denominator == 1:
         return int(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -322,6 +322,8 @@ class RatMatrix:
 
     def to_json_obj(self) -> list:
         den = self.den
+        if den == 1:  # every entry is an int already; no Fraction is built
+            return [[_encode_rat(x) for x in row] for row in self.num]
         return [[_encode_rat(Fraction(x, den)) for x in row] for row in self.num]
 
     @classmethod

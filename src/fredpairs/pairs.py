@@ -166,9 +166,11 @@ def pair_defects(p: PairInstance) -> PairDefects:
     """The four defect numbers and the index a - b - c + d.
 
     (a, b) = ``defect_numbers(S, T)`` and (c, d) = ``defect_numbers(T, S)``
-    count each meet by Grassmann's formula from ranks alone, with no
-    canonical basis of N(S), R(T), N(T) or R(S).  The defects never read the
-    composition ranges, which are reported beside them.
+    count each meet by Grassmann's formula from ranks alone: those of S and
+    T and of the product of the reduced rows of one with the pivot columns
+    of the other, with no canonical basis of N(S), R(T), N(T) or R(S).  The
+    defects never read the composition ranges, which are reported beside
+    them.
     """
     a, b = defect_numbers(p.s, p.t)
     c, d = defect_numbers(p.t, p.s)

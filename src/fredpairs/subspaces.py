@@ -8,7 +8,9 @@ choice in the package deterministic.
 The defect numbers need only dimensions, so ``defect_numbers`` builds no
 subspace: by Grassmann's formula dim(U & V) = dim U + dim V - dim(U + V),
 the meet of N(A) and R(B) is counted from the ranks already cached on A and
-B and the rank of one stack of a basis of each.  Since such counts satisfy
+B and the rank of one rank(A) x rank(B) product: the reduced rows of A
+times the pivot columns of B, the Schur complement left when the stack of a
+basis of each is eliminated by its null rows.  Since such counts satisfy
 rank-nullity whatever the ranks are, A is checked to annihilate the null
 rows that are counted.
 """
@@ -133,10 +135,16 @@ def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
 
     By Grassmann's formula the meet has dimension
     nullity(A) + rank(B) - dim(N(A) + R(B)).  The null rows of A and the
-    pivot columns of B are bases of N(A) and R(B), so the sum's dimension is
-    the rank of their stack, an integer matrix over denominator 1 (B's
-    common denominator scales its columns and leaves their span alone).  No
-    canonical basis is built, and nothing is derived from the product AB.
+    pivot columns B_c of B are bases of N(A) and R(B), and B's common
+    denominator scales the columns without changing their span.  Eliminating
+    the stack of both bases by its null-row block (a Schur complement) leaves
+    (Red B_c)^T / den, where Red holds the nonzero rows of rref(A): on the
+    free columns the null rows are den times the identity, and each reduced
+    row is den at its own pivot.  So dim(N(A) + R(B)) = nullity(A) +
+    rank(Red B_c), the meet has dimension rank(B) - rank(Red B_c), and the
+    second defect is rank(Red B_c) itself.  That product is only
+    rank(A) x rank(B), and zero when R(B) lies in N(A).  No canonical basis
+    is built, and nothing is derived from the product AB.
 
     The two numbers differ by cols(A) - rank(A) - rank(B) whatever the ranks
     are, so an index summed from them cannot show a rank that is too small.
@@ -156,9 +164,11 @@ def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
         raise InvariantError("a null row of the rref is not in the null space")
     if not nullity or not rank_b:
         return nullity, rank_b
-    rows = null + [[row[c] for row in b.num] for c in b.rref().pivot_columns]
-    meet = len(rows) - RatMatrix._raw(len(rows), n, rows, 1).rank
-    return nullity - meet, rank_b - meet
+    red = RatMatrix._raw(a.rank, n, a.rref().reduced.num[: a.rank], 1)
+    pivots = b.rref().pivot_columns
+    b_c = RatMatrix._raw(n, rank_b, [[row[c] for c in pivots] for row in b.num], 1)
+    b_defect = (red @ b_c).rank
+    return nullity - rank_b + b_defect, b_defect
 
 
 def image_basis(a: RatMatrix) -> Subspace:

@@ -3,6 +3,9 @@
 ``meet`` is the formula through orthogonal complements,
 U & V = (U^o + V^o)^o, which ``Subspace.__and__`` computed before it used
 Zassenhaus' elimination; both must return the identical canonical subspace.
+``stacked_defect_numbers`` counts the defects as ``defect_numbers`` did
+before it eliminated by the null rows: from the rank of the stack of the
+null rows of A and the pivot columns of B.
 ``push_image`` and ``complement`` build the images and complements in which
 the tests state the paper's transport identities; the package itself never
 needs them.
@@ -12,10 +15,20 @@ from dataclasses import dataclass
 
 from fredpairs import DimensionError, PreconditionError, RatMatrix, Subspace
 from fredpairs import orthogonal_complement
+from fredpairs.subspaces import _null_rows
 
 
 def meet(u, v):
     return orthogonal_complement(orthogonal_complement(u) + orthogonal_complement(v))
+
+
+def stacked_defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
+    """(dim N(A) - meet, dim R(B) - meet) by Grassmann's formula, with
+    dim(N(A) + R(B)) the rank of [null rows of A; pivot columns of B]."""
+    n = a.cols
+    rows = _null_rows(a) + [[row[c] for row in b.num] for c in b.rref().pivot_columns]
+    meet = n - a.rank + b.rank - RatMatrix._raw(len(rows), n, rows, 1).rank
+    return n - a.rank - meet, b.rank - meet
 
 
 def push_image(a: RatMatrix, u: Subspace) -> Subspace:

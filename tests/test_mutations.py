@@ -89,6 +89,27 @@ def meet_one_short(defect_numbers):
     return wrong
 
 
+def nullity_one_more(fredholm_data):
+    """Report one more nullity than the rank gives, leaving corank and index."""
+
+    def wrong(a):
+        nullity, corank, index = fredholm_data(a)
+        return nullity + 1, corank, index
+
+    return wrong
+
+
+def a_one_more(defect_numbers):
+    """Count the first defect one too large: a rank-nullity slip that the
+    shape-determined index checks see."""
+
+    def wrong(a, b):
+        a_defect, b_defect = defect_numbers(a, b)
+        return a_defect + 1, b_defect
+
+    return wrong
+
+
 # name -> (module globals to replace, mutation of the original, checks it flips)
 MUTATIONS = {
     "meet_one_short": (
@@ -96,6 +117,24 @@ MUTATIONS = {
         meet_one_short,
         {
             "composition_defects_match",
+            "nullity_matches_a",
+            "hodge_nullity_a",
+            "hodge_nullity_c",
+        },
+    ),
+    "nullity_one_more": (
+        [(pairs, "fredholm_data"), (chains, "fredholm_data")],
+        nullity_one_more,
+        {"nullity_matches_a", "hodge_nullity_a", "hodge_nullity_c"},
+    ),
+    "a_one_more": (
+        [(pairs, "defect_numbers"), (chains, "defect_numbers")],
+        a_one_more,
+        {
+            "index_even",
+            "index_odd",
+            "index_matches_euler",
+            "index_matches_pair",
             "nullity_matches_a",
             "hodge_nullity_a",
             "hodge_nullity_c",

@@ -123,6 +123,30 @@ class TestDefectNumbers:
         meet = (n & r).dim
         assert defect_numbers(a, b) == (n.dim - meet, r.dim - meet)
 
+    @settings(max_examples=200, deadline=None)
+    @given(composable_maps())
+    def test_matches_the_stacked_rank_and_rank_nullity(self, maps_ab):
+        # R(B) / (N(A) & R(B)) is isomorphic to A(R(B)) = R(AB).
+        a, b = maps_ab
+        a_defect, b_defect = defect_numbers(a, b)
+        assert (a_defect, b_defect) == reference.stacked_defect_numbers(a, b)
+        assert b_defect == image_basis(a @ b).dim
+
+    def test_a_complex_row_reduces_only_its_maps(self, monkeypatch):
+        # R(B) = N(A) with 0 < nullity < cols: the product of the reduced
+        # rows of A and the pivot columns of B is zero and needs no rref.
+        calls = []
+        rref_rows = matrices.rref_rows
+
+        def counted(rows, ncols):
+            calls.append(len(rows))
+            return rref_rows(rows, ncols)
+
+        monkeypatch.setattr(matrices, "rref_rows", counted)
+        a, b = mat([[1, 1, 0]]), mat([[1, 0], [-1, 0], [0, 1]])
+        assert defect_numbers(a, b) == (0, 0)
+        assert calls == [1, 3]
+
     def test_examples(self):
         # N(A) = span(e2) = R(B): the meet is everything of both
         assert defect_numbers(mat([[1, 0]]), mat([[0], [1]])) == (0, 0)
