@@ -29,7 +29,6 @@ from .pairs import (
     TheoremReport,
     build_extensions,
     build_v,
-    composition_ranges,
     fredholm_data,
     induced_pair,
     pair_defects,

@@ -1,9 +1,10 @@
-"""Exact kernels on integers: fraction-free Gauss-Jordan reduction and matmul.
+"""The two hot-loop kernels on integers: fraction-free Gauss-Jordan reduction
+and matrix multiplication.
 
 Both kernels take and return lists of integer rows.  A rational matrix
 reaches them as integer rows over one common denominator (see
 ``fredpairs.matrices``), so neither kernel sees a ``Fraction``: the caller
-keeps track of the denominator.
+keeps track of the denominator.  ``BACKEND`` names this one backend.
 
 The elimination is fraction-free in the sense of E. H. Bareiss (1968),
 integer-preserving Gaussian elimination, but keeps entries small by dividing
@@ -13,6 +14,8 @@ pivot column is already zero.
 """
 
 from math import gcd
+
+BACKEND = "integer"
 
 
 def rref_rows(rows, ncols):

@@ -35,7 +35,7 @@ from .matrices import RatMatrix
 from .pairs import PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
 
 PAIR_CHECKS = ("thm34", "thm36")
-CHAIN_CHECKS = ("remark23", "thm42", "thm44", "thm34", "thm36")
+CHAIN_CHECKS = ("thm34", "thm36", "thm42", "thm44", "remark23")  # the order of the flags
 
 
 def _load_json(path: str):
@@ -102,18 +102,6 @@ def _chain_reports(chain: ChainInstance, checks) -> list:
     return reports
 
 
-def _requested_checks(args) -> list[str]:
-    flags = {
-        "thm34": args.thm34,
-        "thm36": args.thm36,
-        "thm42": args.thm42,
-        "thm44": args.thm44,
-        "remark23": args.remark23,
-    }
-    requested = [name for name, on in flags.items() if on]
-    return requested
-
-
 def cmd_pair_report(args) -> int:
     pair = PairInstance.from_json_obj(_load_json(args.file))
     print(json.dumps(pair_defects(pair).to_json_obj()))
@@ -132,15 +120,16 @@ def cmd_chain_report(args) -> int:
 
 def cmd_verify(args) -> int:
     instance = _parse_instance(_load_json(args.file))
-    checks = _requested_checks(args)
+    checks = args.checks  # None when no verifier flag is given
     if isinstance(instance, ChainInstance):
         if args.all or not checks:
-            checks = list(CHAIN_CHECKS)
+            checks = CHAIN_CHECKS
         reports = _chain_reports(instance, checks)
     else:
         if args.all or not checks:
-            checks = list(PAIR_CHECKS)
-        bad = [c for c in checks if c not in PAIR_CHECKS]
+            checks = PAIR_CHECKS
+        # each requested check once, in the order of the flags
+        bad = [c for c in CHAIN_CHECKS if c in checks and c not in PAIR_CHECKS]
         if bad:
             raise InputError(f"checks {bad} need a chain file, {args.file} holds a pair")
         reports = _pair_reports(instance, checks)
@@ -234,11 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run theorem verifiers on an instance file")
     p.add_argument("file")
-    p.add_argument("--thm34", action="store_true")
-    p.add_argument("--thm36", action="store_true")
-    p.add_argument("--thm42", action="store_true")
-    p.add_argument("--thm44", action="store_true")
-    p.add_argument("--remark23", action="store_true")
+    # argparse starts each parse from a fresh namespace, so no list outlives a call
+    for check in CHAIN_CHECKS:
+        p.add_argument(f"--{check}", action="append_const", const=check, dest="checks")
     p.add_argument("--all", action="store_true")
     p.set_defaults(func=cmd_verify)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .chains import ChainInstance
 from .errors import InvariantError, PreconditionError
 from .matrices import RatMatrix
-from .pairs import PairInstance, composition_ranges
+from .pairs import PairInstance
 from .subspaces import kernel_basis
 
 _MASK = (1 << 64) - 1
@@ -135,7 +135,7 @@ def random_pair(cfg: GenConfig, rng: SplitMix64 | None = None) -> PairInstance:
         s = s + random_matrix(cfg, dim_y, dim_x, rng.randint(1, leak_cap), rng)
 
     pair = PairInstance(dim_x=dim_x, dim_y=dim_y, s=s, t=t)
-    st_rank, ts_rank = composition_ranges(pair)
+    st_rank, ts_rank = pair.range_st.dim, pair.range_ts.dim
     if max(st_rank, ts_rank) > cfg.rank_budget:
         raise InvariantError(f"pair compositions have ranks {st_rank}, {ts_rank} over the budget")
     if cfg.complex_only and (st_rank or ts_rank):

@@ -174,21 +174,15 @@ def pair_defects(p: PairInstance) -> PairDefects:
     """
     a, b = defect_numbers(p.s, p.t)
     c, d = defect_numbers(p.t, p.s)
-    dim_st, dim_ts = composition_ranges(p)
     return PairDefects(
         a=a,
         b=b,
         c=c,
         d=d,
         index=a - b - c + d,
-        dim_range_st=dim_st,
-        dim_range_ts=dim_ts,
+        dim_range_st=p.range_st.dim,
+        dim_range_ts=p.range_ts.dim,
     )
-
-
-def composition_ranges(p: PairInstance) -> tuple[int, int]:
-    """(dim R(ST), dim R(TS)); ST acts on Y, TS on X."""
-    return p.range_st.dim, p.range_ts.dim
 
 
 def fredholm_data(a: RatMatrix) -> tuple[int, int, int]:
@@ -303,17 +297,17 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
          R(TS); rank(S - S1) <= dim R(ST) + dim R(TS)
 
     An m x n matrix has index n - m, so all but ``finite_rank_difference``
-    are shape-determined once the defects obey rank-nullity.
+    are shape-determined once the defects obey rank-nullity.  For the same
+    reason ind(S~, T~) is read from the quotient dimensions,
+    dim X/R(TS) - dim Y/R(ST); the quotient pair's defects are not derived.
     """
     defects, ind, bundle = p.defects, p.induced, p.extensions
     # nullity - corank = (cols - r) - (rows - r) for every rank r, so no rank can change these
     index_s_plus = bundle.s_plus.cols - bundle.s_plus.rows
     index_t_plus = bundle.t_plus.cols - bundle.t_plus.rows
 
-    tilde_pair = PairInstance(
-        ind.q_x.quotient_dim, ind.q_y.quotient_dim, ind.s_tilde, ind.t_tilde
-    )
-    tilde_index = pair_defects(tilde_pair).index
+    # a - b - c + d = dim X - dim Y for every pair, so no rank can change this either
+    tilde_index = ind.q_x.quotient_dim - ind.q_y.quotient_dim
 
     s_one = lift(ind.s_tilde, ind.q_x, ind.q_y)
     index_s_one_plus = s_one.cols - s_one.rows  # S1 + T' has the shape of S1
@@ -362,18 +356,7 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
         b = p.extensions
     v = build_v(p, b)
     v2 = v @ v
-    dx, dy = p.dim_x, p.dim_y
-    top, bottom, den = v2.num[:dx], v2.num[dx:], v2.den
-    xx_block = RatMatrix._canonical(dx, dx, [row[:dx] for row in top], den)
-    xy_block = RatMatrix._canonical(dx, dy, [row[dx:] for row in top], den)
-    yx_block = RatMatrix._canonical(dy, dx, [row[:dx] for row in bottom], den)
-    yy_block = RatMatrix._canonical(dy, dy, [row[dx:] for row in bottom], den)
-    block_diagonal = (
-        xy_block.is_zero()
-        and yx_block.is_zero()
-        and xx_block == b.t_plus @ b.s_plus
-        and yy_block == b.s_plus @ b.t_plus
-    )
+    block_diagonal = v2 == direct_sum(b.t_plus @ b.s_plus, b.s_plus @ b.t_plus)
 
     lap_x = b.s_prime @ p.s + p.t @ b.t_prime
     lap_y = b.t_prime @ p.t + p.s @ b.s_prime

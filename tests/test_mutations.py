@@ -110,6 +110,16 @@ def a_one_more(defect_numbers):
     return wrong
 
 
+def lift_twice(lift):
+    """Double every lift from the quotients: the quotient-level maps stay
+    right, so only the checks that read a lifted map can see it."""
+
+    def wrong(m, q_dom, q_cod):
+        return lift(m, q_dom, q_cod).scale(2)
+
+    return wrong
+
+
 # name -> (module globals to replace, mutation of the original, checks it flips)
 MUTATIONS = {
     "meet_one_short": (
@@ -139,6 +149,18 @@ MUTATIONS = {
             "hodge_nullity_a",
             "hodge_nullity_c",
         },
+    ),
+    # S' and T' of every pair bundle, and S1 of theorem 3.4
+    "pair_lift_twice": (
+        [(pairs, "lift")],
+        lift_twice,
+        {"finite_rank_difference", "even_matches_folded", "odd_matches_folded"},
+    ),
+    # the extended inverses d' of the quotient chain and theorem 4.4's lifted Laplacians
+    "chain_lift_twice": (
+        [(chains, "lift")],
+        lift_twice,
+        {"even_matches_folded", "odd_matches_folded"},
     ),
 }
 

@@ -7,7 +7,6 @@ from fredpairs import (
     Subspace,
     build_extensions,
     build_v,
-    composition_ranges,
     fredholm_data,
     image_basis,
     induced_pair,
@@ -54,14 +53,16 @@ class TestPairDefects:
 
 class TestCompositionRanges:
     def test_w2(self):
-        assert composition_ranges(w2()) == (0, 1)
+        p = w2()
+        assert (p.range_st.dim, p.range_ts.dim) == (0, 1)
 
     def test_identity(self):
-        assert composition_ranges(PairInstance(1, 1, mat([[1]]), mat([[1]]))) == (1, 1)
+        p = PairInstance(1, 1, mat([[1]]), mat([[1]]))
+        assert (p.range_st.dim, p.range_ts.dim) == (1, 1)
 
     def test_zero_t(self):
         p = PairInstance(2, 2, mat([[1, 0], [0, 1]]), RatMatrix.zero(2, 2))
-        assert composition_ranges(p) == (0, 0)
+        assert (p.range_st.dim, p.range_ts.dim) == (0, 0)
 
 
 class TestInducedPair:
