@@ -5,16 +5,25 @@ A chain is a finite sequence of spaces X_0..X_n with maps d_p: X_p -> X_{p-1}
 for p = 1..n; maps outside that range are zero into/out of zero spaces.
 Consecutive compositions need not vanish (chains are more general than
 complexes).
+
+The folded pair (remark 2.3) puts the even degrees into X and the odd ones
+into Y in ascending order.  Its composition ranges, its quotients and its
+induced maps are block-diagonal assemblies of the chain's per-degree ones,
+so it takes them from the chain.  Its pseudoinverses, inverse extensions
+and defects are derived from the folded matrices themselves: theorem 4.2
+compares those pseudoinverses with the per-degree ones, and remark 2.3
+compares those defects with the chain's, so neither may be built from the
+other.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
-from .matrices import RatMatrix, block
-from .pairs import PairInstance, TheoremReport, fredholm_data
+from .matrices import RatMatrix, block, direct_sum
+from .pairs import InducedPair, PairInstance, TheoremReport, fredholm_data
 from .subspaces import (
     QuotientStructure,
     Subspace,
@@ -26,10 +35,25 @@ from .subspaces import (
 )
 
 
+class _shared_cached_property(cached_property):
+    """A ``cached_property`` kept in the instance's ``_shared`` dict, which
+    the copies of ``ChainInstance._sharing_copy`` share with the original."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        shared = instance._shared
+        if self.attrname not in shared:
+            shared[self.attrname] = self.func(instance)
+        return shared[self.attrname]
+
+
 @dataclass(frozen=True)
 class ChainInstance:
     dims: tuple[int, ...]  # dimensions of X_0..X_n
     maps: tuple[RatMatrix, ...]  # maps[p-1] is d_p: X_p -> X_{p-1}
+    # The per-degree objects the folded pair reads; see ``_sharing_copy``.
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(self.dims))
@@ -50,7 +74,7 @@ class ChainInstance:
     def defects(self) -> "ChainDefects":
         return chain_defects(self)
 
-    @cached_property
+    @_shared_cached_property
     def composition_ranges(self) -> tuple[Subspace, ...]:
         """R(d_{p+1} d_{p+2}), a subspace of X_p, for p = 0..n-2.
 
@@ -58,14 +82,26 @@ class ChainInstance:
         """
         return tuple(image_basis(a @ b) for a, b in zip(self.maps, self.maps[1:]))
 
-    @cached_property
+    @_shared_cached_property
     def quotient(self) -> "QuotientChain":
         return quotient_chain(self)
 
     @cached_property
-    def folded(self) -> PairInstance:
-        """The folded pair; the pair verifiers run on it share its own objects."""
+    def folded(self) -> "FoldedPair":
+        """The folded pair.  The pair verifiers run on it share its own
+        objects, and it reads its composition ranges, quotients and induced
+        maps from this chain (see ``FoldedPair``)."""
         return fold_to_pair(self)
+
+    def _sharing_copy(self) -> "ChainInstance":
+        """An equal chain that shares this one's composition ranges and
+        quotient chain, computed or not, and nothing else.  A folded pair
+        holds such a copy, so that a chain that keeps its folded pair is
+        not part of a reference cycle, which only the cyclic garbage
+        collector would free."""
+        twin = ChainInstance(self.dims, self.maps)
+        object.__setattr__(twin, "_shared", self._shared)
+        return twin
 
     @property
     def top_degree(self) -> int:
@@ -167,39 +203,122 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
     return ChainDefects(a=tuple(a), b=tuple(b), d=tuple(d), index=index)
 
 
-def _even_degrees(c: ChainInstance) -> list[int]:
-    return [p for p in range(c.top_degree + 1) if p % 2 == 0]
+def _degrees(dims, parity: int) -> list[int]:
+    return list(range(parity, len(dims), 2))
 
 
-def _odd_degrees(c: ChainInstance) -> list[int]:
-    return [p for p in range(c.top_degree + 1) if p % 2 == 1]
-
-
-def _fold_map(c: ChainInstance, source: list[int], target: list[int], blocks) -> RatMatrix:
+def _fold_map(dims, source: list[int], target: list[int], blocks) -> RatMatrix:
     """Assemble a block matrix from target x source degree blocks.
 
-    ``blocks(row_p, col_p)`` returns the block or None for zero.  Degrees are
-    laid out in ascending order, which makes folding bit-exact.
+    ``dims`` are the dimensions of the degrees.  ``blocks(row_p, col_p)``
+    returns the block or None for zero.  Degrees are laid out in ascending
+    order, which makes folding bit-exact.
     """
     if not target or not source:
-        return RatMatrix.zero(sum(c.dims[q] for q in target), sum(c.dims[p] for p in source))
+        return RatMatrix.zero(sum(dims[q] for q in target), sum(dims[p] for p in source))
     grid = []
     for q in target:
         row = []
         for p in source:
             m = blocks(q, p)
-            row.append(m if m is not None else RatMatrix.zero(c.dims[q], c.dims[p]))
+            row.append(m if m is not None else RatMatrix.zero(dims[q], dims[p]))
         grid.append(row)
     return block(grid)
 
 
-def fold_to_pair(c: ChainInstance) -> PairInstance:
+def _fold(maps, dims) -> tuple[RatMatrix, RatMatrix]:
+    """(S, T): the degree-lowering ``maps`` (maps[p-1] from degree p to p-1)
+    from the even degrees to the odd ones and back."""
+    even, odd = _degrees(dims, 0), _degrees(dims, 1)
+
+    def lowering(q, p):
+        return maps[p - 1] if p == q + 1 else None
+
+    return _fold_map(dims, even, odd, lowering), _fold_map(dims, odd, even, lowering)
+
+
+@dataclass(frozen=True)
+class FoldedPair(PairInstance):
+    """The pair a chain folds into, which reads its composition ranges,
+    quotients and induced maps from the chain.
+
+    With the ascending block order, T S maps X_{p+2} into X_p for even p and
+    S T does so for odd p, so R(TS) and R(ST) are the direct sums of the
+    chain's R(d_{p+1} d_{p+2}) over the even and the odd degrees.  rref and
+    the orthogonal complement of a block-diagonal basis are block diagonal,
+    so the quotients X/R(TS) and Y/R(ST) are the direct sums of the chain's
+    per-degree quotients, and S~, T~ the fold of its induced maps d~_p.  All
+    of them are canonical, so each equals what the pair would derive from the
+    folded matrices.  The induced pair's own checks are direct sums of the
+    chain's: the commuting square of each d~_p, and d~_p d~_{p+1} = 0, the
+    blocks of S~T~ and T~S~.
+
+    ``chain`` is a copy of the chain that shares its per-degree objects
+    (``ChainInstance._sharing_copy``).  It is not compared, hashed or shown,
+    so a folded pair equals any other fold of an equal chain.
+    """
+
+    chain: ChainInstance = field(compare=False, repr=False)
+
+    def _folded_range(self, parity: int) -> Subspace:
+        dims, ranges = self.chain.dims, self.chain.composition_ranges
+        degrees = _degrees(dims, parity)
+        # the two top degrees have no composition, so they contribute zero
+        bases = [
+            ranges[p].basis if p < len(ranges) else RatMatrix.zero(0, dims[p]) for p in degrees
+        ]
+        return Subspace(sum(dims[p] for p in degrees), direct_sum(*bases))
+
+    @cached_property
+    def range_st(self) -> Subspace:
+        """R(ST), the direct sum of the chain's composition ranges at odd degrees."""
+        return self._folded_range(1)
+
+    @cached_property
+    def range_ts(self) -> Subspace:
+        """R(TS), the direct sum of the chain's composition ranges at even degrees."""
+        return self._folded_range(0)
+
+    @cached_property
+    def induced(self) -> InducedPair:
+        """The direct sums of the chain's quotients, and the fold of its induced maps."""
+        qc = self.chain.quotient
+
+        def summed(parity: int, killed: Subspace) -> QuotientStructure:
+            n = killed.ambient_dim
+            if not killed.dim:  # every block is the identity quotient
+                identity = RatMatrix.identity(n)
+                return QuotientStructure(n, killed, n, identity, identity)
+            qs = [qc.quotients[p] for p in _degrees(qc.quotients, parity)]
+            return QuotientStructure(
+                ambient_dim=killed.ambient_dim,
+                killed=killed,
+                quotient_dim=sum(q.quotient_dim for q in qs),
+                projection=direct_sum(*(q.projection for q in qs)),
+                section=direct_sum(*(q.section for q in qs)),
+            )
+
+        if self.range_st.dim or self.range_ts.dim:
+            s_tilde, t_tilde = _fold(qc.maps_tilde, [q.quotient_dim for q in qc.quotients])
+        else:  # nothing is killed, so every d~_p is d_p and S~, T~ are S, T
+            s_tilde, t_tilde = self.s, self.t
+        return InducedPair(
+            q_x=summed(0, self.range_ts),
+            q_y=summed(1, self.range_st),
+            s_tilde=s_tilde,
+            t_tilde=t_tilde,
+        )
+
+
+def fold_to_pair(c: ChainInstance) -> FoldedPair:
     """Pack even degrees into X, odd degrees into Y, with S and T the
-    degree-lowering maps between them (ascending block order)."""
-    even, odd = _even_degrees(c), _odd_degrees(c)
-    s = _fold_map(c, even, odd, lambda q, p: c.delta(p) if p == q + 1 else None)
-    t = _fold_map(c, odd, even, lambda q, p: c.delta(p) if p == q + 1 else None)
-    return PairInstance(dim_x=s.cols, dim_y=s.rows, s=s, t=t)
+    degree-lowering maps between them (ascending block order).
+
+    The pair reads its composition ranges, quotients and induced maps from
+    ``c``, through a copy that shares them; its defects and inverse
+    extensions are derived from S and T."""
+    s, t = _fold(c.maps, c.dims)
+    return FoldedPair(dim_x=s.cols, dim_y=s.rows, s=s, t=t, chain=c._sharing_copy())
 
 
 def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
@@ -288,7 +407,7 @@ def _parity_operator(c: ChainInstance, qc: QuotientChain, source: list[int], tar
             return _delta_prime(c, qc, q)
         return None
 
-    return _fold_map(c, source, target, blocks)
+    return _fold_map(c.dims, source, target, blocks)
 
 
 def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
@@ -298,7 +417,7 @@ def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
     ``index_even`` and ``index_odd`` are shape-determined, as an m x n matrix
     has index n - m and the chain index is the Euler characteristic."""
     defects, qc = c.defects, c.quotient
-    even, odd = _even_degrees(c), _odd_degrees(c)
+    even, odd = _degrees(c.dims, 0), _degrees(c.dims, 1)
     e = _parity_operator(c, qc, even, odd)
     o = _parity_operator(c, qc, odd, even)
     # nullity - corank = (cols - r) - (rows - r) for every rank r, so no rank can change these

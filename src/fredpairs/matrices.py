@@ -407,10 +407,17 @@ def block(grid: Sequence[Sequence[RatMatrix]]) -> RatMatrix:
     return vstack(*[hstack(*row) for row in grid])
 
 
-def direct_sum(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return block(
-        [
-            [a, RatMatrix.zero(a.rows, b.cols)],
-            [RatMatrix.zero(b.rows, a.cols), b],
-        ]
-    )
+def direct_sum(*mats: RatMatrix) -> RatMatrix:
+    """The block-diagonal matrix with ``mats`` down its diagonal, in order.
+
+    Of no blocks it is the 0 x 0 matrix.  As in ``block``, every block is
+    brought to the lcm of the denominators, which keeps the result canonical.
+    """
+    cols = sum(m.cols for m in mats)
+    den = lcm(*[m.den for m in mats])
+    num, left = [], 0
+    for m in mats:
+        pad_left, pad_right = [0] * left, [0] * (cols - left - m.cols)
+        num.extend(pad_left + row + pad_right for row in _rescaled(m, den))
+        left += m.cols
+    return RatMatrix._raw(sum(m.rows for m in mats), cols, num, den)

@@ -211,7 +211,13 @@ def induced_pair(p: PairInstance) -> InducedPair:
         t_tilde = induced_map(p.t, q_y, q_x)
     except PreconditionError as exc:
         raise InvariantError(f"the induced pair: {exc}") from exc
-    if not ((s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()):
+    if s_tilde is p.s and t_tilde is p.t:
+        # both maps passed through unchanged, so S~T~ and T~S~ are ST and TS,
+        # whose ranges the pair already holds
+        is_complex = not (p.range_st.dim or p.range_ts.dim)
+    else:
+        is_complex = (s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()
+    if not is_complex:
         raise InvariantError("the induced pair is not a complex")
     return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
 

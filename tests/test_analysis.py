@@ -3,10 +3,12 @@ reads the same defects, induced pair and extensions, each of them is derived
 once per instance, and the cached inverse bundle that every verifier reads is
 the Moore-Penrose one."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -82,6 +84,21 @@ class TestSharedObjects:
             for verify in (verify_theorem_3_4, verify_theorem_3_6):
                 assert verify(chain.folded) == verify(folded)
 
+    def test_a_chain_and_its_folded_pair_form_no_cycle(self):
+        # The folded pair reads the chain's per-degree objects through a copy,
+        # so a verified chain is freed by reference counting alone.
+        chain = replace(next(c for c in CHAINS if len(c.maps) >= 2))
+        for verify in (verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4):
+            assert verify(chain).passed
+        assert chain.folded.induced.q_x.killed is chain.folded.range_ts
+        alive = weakref.ref(chain)
+        gc.disable()
+        try:
+            del chain
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_custom_bundle_differs_from_default(self):
         pair = PairInstance(2, 1, mat([[1, 0]]), mat([[0], [1]]))
         bundle = build_extensions(pair, s_tilde_prime=mat([[1]]), t_tilde_prime=mat([[7]]))
@@ -138,28 +155,57 @@ class TestComputedOnce:
                 (pairs, "build_extensions"),
             ],
         )
+        # quotient's first argument is the ambient dimension
+        chain_quotients = self.count_calls(monkeypatch, [(chains, "quotient")])["quotient"]
+        pair_quotients = self.count_calls(monkeypatch, [(pairs, "quotient")])["quotient"]
         reports = self.verify_all(tmp_path, capsys, chain.to_json_obj())
         assert len(reports) == 5
         for name in ("chain_defects", "quotient_chain", "fold_to_pair"):
             assert calls[name] == [chain]
         assert calls["pair_defects"].count(folded) == 1
-        assert calls["induced_pair"] == calls["build_extensions"] == [folded]
+        # the folded pair's quotients and induced maps are the chain's, summed
+        assert calls["induced_pair"] == []
+        assert calls["build_extensions"] == [folded]
+        assert chain_quotients == list(chain.dims) and pair_quotients == []
+
+    def test_remark_2_3_builds_no_quotient_or_inverse(self, tmp_path, capsys, monkeypatch):
+        # a chain whose folded composition ranges are nonzero, which its
+        # folded defects report
+        chain = ChainInstance((1, 1, 1), (mat([[1]]), mat([[1]])))
+        calls = self.count_calls(
+            monkeypatch, [(chains, "quotient_chain"), (RatMatrix, "pseudoinverse")]
+        )
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain.to_json_obj()), encoding="utf-8")
+        assert main(["verify", "--remark23", str(path)]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["reports"]
+        assert report["details"]["dim_range_st"] + report["details"]["dim_range_ts"] == 1
+        assert calls == {"quotient_chain": [], "pseudoinverse": []}
 
     def test_pair_verifiers_share_one_instance(self, monkeypatch):
-        # a pair with a nonzero composition, so its induced pair differs from it
-        pair = replace(next(p for p in PAIRS if p.range_st.dim or p.range_ts.dim))
+        # a pair with a nonzero composition, so its induced pair differs from
+        # it, and a complex of nonzero maps, which is its own induced pair
+        noncomplex = next(p for p in PAIRS if p.range_st.dim or p.range_ts.dim)
+        complex_pair = next(
+            p
+            for p in PAIRS
+            if not (p.range_st.dim or p.range_ts.dim or p.s.is_zero() or p.t.is_zero())
+        )
         calls = self.count_calls(
             monkeypatch,
             [(pairs, "pair_defects"), (pairs, "induced_pair"), (pairs, "build_extensions")],
         )
         products = record_operands(monkeypatch, "__matmul__")
         sums = record_operands(monkeypatch, "__add__")
-        assert verify_theorem_3_4(pair).passed and verify_theorem_3_6(pair).passed
-        for name in ("pair_defects", "induced_pair", "build_extensions"):
-            assert len(calls[name]) == 1 and calls[name][0] is pair
-        assert times(products, pair.s, pair.t) == times(products, pair.t, pair.s) == 1
-        bundle = pair.extensions
-        assert times(sums, pair.s, bundle.t_prime) == times(sums, pair.t, bundle.s_prime) == 1
+        for pair in map(replace, (noncomplex, complex_pair)):
+            for seen in (*calls.values(), products, sums):
+                seen.clear()
+            assert verify_theorem_3_4(pair).passed and verify_theorem_3_6(pair).passed
+            for name in ("pair_defects", "induced_pair", "build_extensions"):
+                assert len(calls[name]) == 1 and calls[name][0] is pair
+            assert times(products, pair.s, pair.t) == times(products, pair.t, pair.s) == 1
+            bundle = pair.extensions
+            assert times(sums, pair.s, bundle.t_prime) == times(sums, pair.t, bundle.s_prime) == 1
 
     def test_no_rank_is_taken_for_an_index(self, monkeypatch):
         # S + T', T + S' and the two parity operators are only ever read for

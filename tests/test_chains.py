@@ -3,9 +3,11 @@ import pytest
 from fredpairs import (
     ChainInstance,
     DimensionError,
+    PairInstance,
     RatMatrix,
     chain_defects,
     fold_to_pair,
+    image_basis,
     induced_pair,
     pair_defects,
     quotient_chain,
@@ -13,7 +15,7 @@ from fredpairs import (
     verify_theorem_4_2,
     verify_theorem_4_4,
 )
-from fredpairs.generators import GenConfig, random_chain
+from fredpairs.generators import GenConfig, random_chain, random_matrix
 
 from conftest import mat
 
@@ -34,6 +36,22 @@ def random_chains(seed, count, max_dim=5, rank_budget=2, max_len=5, complex_only
     cfg = GenConfig(seed=seed, max_dim=max_dim, rank_budget=rank_budget, complex_only=complex_only)
     rng = cfg.rng()
     return [random_chain(cfg, rng.randint(1, max_len), rng) for _ in range(count)]
+
+
+def generic_chains(seed, count, max_dim=5):
+    """Chains of 3 to 5 maps of random nonzero rank between nonzero spaces,
+    so that consecutive maps almost never compose to zero."""
+    cfg = GenConfig(seed=seed, max_dim=max_dim, rank_budget=max_dim)
+    rng = cfg.rng()
+    chains = []
+    for _ in range(count):
+        dims = [rng.randint(1, max_dim) for _ in range(rng.randint(4, 6))]
+        maps = [
+            random_matrix(cfg, rows, cols, rng.randint(1, min(rows, cols)), rng)
+            for rows, cols in zip(dims, dims[1:])
+        ]
+        chains.append(ChainInstance(tuple(dims), tuple(maps)))
+    return chains
 
 
 class TestChainInstance:
@@ -145,17 +163,33 @@ class TestQuotientChain:
                 assert (qc.extended_inverses[p - 1] @ comp).is_zero()
 
     def test_folding_consistency(self):
-        # fold(quotient_chain(c)) agrees with induced_pair(fold(c))
-        for c in random_chains(seed=127, count=10):
-            qc = quotient_chain(c)
+        # The folded pair assembles its composition ranges, quotients and
+        # induced maps from the chain's per-degree ones; each must equal what
+        # the pair derives from the folded matrices alone.
+        instances = random_chains(seed=127, count=10, rank_budget=4) + generic_chains(
+            seed=157, count=12
+        )
+        both_parities = 0
+        for c in instances:
             folded = fold_to_pair(c)
-            ind = induced_pair(folded)
+            plain = PairInstance(folded.dim_x, folded.dim_y, folded.s, folded.t)
+            assert folded.range_st == image_basis(plain.s @ plain.t)
+            assert folded.range_ts == image_basis(plain.t @ plain.s)
+            both_parities += bool(folded.range_st.dim and folded.range_ts.dim)
+            ind, expected = folded.induced, induced_pair(plain)
+            for q, e in ((ind.q_x, expected.q_x), (ind.q_y, expected.q_y)):
+                assert q.killed == e.killed and q.quotient_dim == e.quotient_dim
+                assert q.projection == e.projection and q.section == e.section
+            assert ind.s_tilde == expected.s_tilde and ind.t_tilde == expected.t_tilde
+            # and fold(quotient_chain(c)) is the induced pair of fold(c)
+            qc = quotient_chain(c)
             quotiented_chain = ChainInstance(
                 tuple(q.quotient_dim for q in qc.quotients), qc.maps_tilde
             )
             refolded = fold_to_pair(quotiented_chain)
-            assert refolded.s == ind.s_tilde
-            assert refolded.t == ind.t_tilde
+            assert refolded.s == expected.s_tilde
+            assert refolded.t == expected.t_tilde
+        assert both_parities > len(instances) // 2
 
 
 class TestTheorem42:

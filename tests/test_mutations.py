@@ -120,6 +120,40 @@ def lift_twice(lift):
     return wrong
 
 
+def lift_by_section_transpose(lift):
+    """Lift through the domain's section transposed in place of its
+    projection: section_cod @ m @ section_dom^T.  It still vanishes on
+    killed_dom, since the section's columns are orthogonal to it, but is no
+    longer the projection's factor through the quotient."""
+
+    def wrong(m, q_dom, q_cod):
+        return q_cod.section @ m @ q_dom.section.transpose()
+
+    return wrong
+
+
+def a_one_more_when_wide(defect_numbers):
+    """Count the first defect one too large only when A is wider than tall,
+    so that the slip no longer cancels in a - b - c + d as ``a_one_more``'s
+    does where both orders are counted."""
+
+    def wrong(a, b):
+        a_defect, b_defect = defect_numbers(a, b)
+        return (a_defect + 1 if a.cols > a.rows else a_defect), b_defect
+
+    return wrong
+
+
+def swap_same_shape(direct_sum):
+    """Swap the two summands when they have the same shape, which no shape
+    check can see."""
+
+    def wrong(a, b):
+        return direct_sum(b, a) if a.shape == b.shape else direct_sum(a, b)
+
+    return wrong
+
+
 # name -> (module globals to replace, mutation of the original, checks it flips)
 MUTATIONS = {
     "meet_one_short": (
@@ -162,11 +196,59 @@ MUTATIONS = {
         lift_twice,
         {"even_matches_folded", "odd_matches_folded"},
     ),
+    "pair_lift_section_transpose": (
+        [(pairs, "lift")],
+        lift_by_section_transpose,
+        {"corrector_rank_bound", "even_matches_folded", "odd_matches_folded"},
+    ),
+    "chain_lift_section_transpose": (
+        [(chains, "lift")],
+        lift_by_section_transpose,
+        {"even_matches_folded", "odd_matches_folded", "perturbation_rank"},
+    ),
+    # with a chain-compatible bundle F = diag(TS + S'T', ST + T'S'), so the
+    # corrector can only fail its bound when S'T' is not zero
+    "lift_section_transpose": (
+        [(pairs, "lift"), (chains, "lift")],
+        lift_by_section_transpose,
+        {"corrector_rank_bound", "perturbation_rank"},
+    ),
+    "a_one_more_when_wide": (
+        [(pairs, "defect_numbers")],
+        a_one_more_when_wide,
+        {
+            "hodge_nullity_a",
+            "hodge_nullity_c",
+            "index_eq_neg_t_plus",
+            "index_eq_s_plus",
+            "index_matches_pair",
+            "intermediate_identity",
+        },
+    ),
+    "pair_direct_sum_swapped": (
+        [(pairs, "direct_sum")],
+        swap_same_shape,
+        {"block_diagonal", "corrector_rank_bound"},
+    ),
+}
+
+# Checks that no mutation can flip, with the reason.  A mutation that keeps
+# every shape cannot change a difference of dimensions, and one that changes
+# a shape raises ``DimensionError`` before any check is read.
+UNFLIPPABLE = {
+    "s_one_same_index": "compares cols - rows of S1 and of S + T', which have the same shape",
+    "zero_index": "reads cols - rows of a quotient Laplacian, which is square",
 }
 
 
 def test_unmutated_set_passes():
     assert failed_checks() == set()
+
+
+def test_every_check_is_flipped_or_unflippable():
+    flipped = set().union(*(checks for _, _, checks in MUTATIONS.values()))
+    assert not flipped & UNFLIPPABLE.keys()
+    assert flipped | UNFLIPPABLE.keys() == CHECKS
 
 
 @pytest.mark.parametrize("name", list(MUTATIONS))
