@@ -21,12 +21,12 @@ BACKEND = "integer"
 def rref_rows(rows, ncols):
     """Row-reduce integer ``rows`` to reduced row-echelon form, up to row scaling.
 
-    Returns ``(new_rows, pivots)`` where ``pivots`` lists the pivot column of
-    each nonzero row in order.  Nonzero row i of ``new_rows`` is the i-th row
-    of the rref scaled to primitive integers (the gcd of its entries is 1)
-    with a positive entry in column ``pivots[i]``; the rows past the rank are
-    zero.  The input rows are not modified, but an output row may be an input
-    row that needed no change.
+    Returns ``(new_rows, pivots)``: the nonzero rows of the rref only, one per
+    pivot, and ``pivots`` lists the pivot column of each in order.  Row i of
+    ``new_rows`` is the i-th row of the rref scaled to primitive integers (the
+    gcd of its entries is 1) with a positive entry in column ``pivots[i]``.
+    The input rows are not modified, but an output row may be an input row
+    that needed no change.
     """
     # Scaling a row by a nonzero constant leaves the row space, hence the
     # rref, unchanged, which is why integer rows suffice.
@@ -68,7 +68,6 @@ def rref_rows(rows, ncols):
         if row[pivots[i]] < 0:
             g = -g
         out.append(row if g == 1 else [x // g for x in row])
-    out.extend([0] * ncols for _ in range(m - r))
     return out, pivots
 
 

@@ -7,13 +7,15 @@ Consecutive compositions need not vanish (chains are more general than
 complexes).
 
 The folded pair (remark 2.3) puts the even degrees into X and the odd ones
-into Y in ascending order.  Its composition ranges, its quotients and its
-induced maps are block-diagonal assemblies of the chain's per-degree ones,
-so it takes them from the chain.  Its pseudoinverses, inverse extensions
-and defects are derived from the folded matrices themselves: theorem 4.2
-compares those pseudoinverses with the per-degree ones, and remark 2.3
-compares those defects with the chain's, so neither may be built from the
-other.
+into Y in ascending order.  One block assembly, ``_fold(dims, down, up)``,
+builds every operator between the two parities: S and T, S~ and T~, and the
+parity operators of theorem 4.2.  The folded composition ranges, quotients
+and induced maps are block-diagonal assemblies of the chain's per-degree
+ones, so the folded pair takes them from the chain.  Its pseudoinverses,
+inverse extensions and defects are derived from the folded matrices
+themselves: theorem 4.2 compares those pseudoinverses with the per-degree
+ones, and remark 2.3 compares those defects with the chain's, so neither may
+be built from the other.
 """
 
 from __future__ import annotations
@@ -207,34 +209,28 @@ def _degrees(dims, parity: int) -> list[int]:
     return list(range(parity, len(dims), 2))
 
 
-def _fold_map(dims, source: list[int], target: list[int], blocks) -> RatMatrix:
-    """Assemble a block matrix from target x source degree blocks.
+def _fold(dims, down, up=()) -> tuple[RatMatrix, RatMatrix]:
+    """The even-to-odd and the odd-to-even block operator on degrees of ``dims``.
 
-    ``dims`` are the dimensions of the degrees.  ``blocks(row_p, col_p)``
-    returns the block or None for zero.  Degrees are laid out in ascending
-    order, which makes folding bit-exact.
+    Column p carries down[p-1] (degree p to p-1) and, when ``up`` is given,
+    up[p] (degree p to p+1); every other block is zero.  Degrees are laid out
+    in ascending order, which makes folding bit-exact.
     """
-    if not target or not source:
-        return RatMatrix.zero(sum(dims[q] for q in target), sum(dims[p] for p in source))
-    grid = []
-    for q in target:
-        row = []
-        for p in source:
-            m = blocks(q, p)
-            row.append(m if m is not None else RatMatrix.zero(dims[q], dims[p]))
-        grid.append(row)
-    return block(grid)
 
+    def block_at(q, p):  # from degree p to degree q
+        if p == q + 1:
+            return down[p - 1]
+        if p == q - 1 and up:
+            return up[p]
+        return RatMatrix.zero(dims[q], dims[p])
 
-def _fold(maps, dims) -> tuple[RatMatrix, RatMatrix]:
-    """(S, T): the degree-lowering ``maps`` (maps[p-1] from degree p to p-1)
-    from the even degrees to the odd ones and back."""
+    def operator(source, target):
+        if not target or not source:
+            return RatMatrix.zero(sum(dims[q] for q in target), sum(dims[p] for p in source))
+        return block([[block_at(q, p) for p in source] for q in target])
+
     even, odd = _degrees(dims, 0), _degrees(dims, 1)
-
-    def lowering(q, p):
-        return maps[p - 1] if p == q + 1 else None
-
-    return _fold_map(dims, even, odd, lowering), _fold_map(dims, odd, even, lowering)
+    return operator(even, odd), operator(odd, even)
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,7 @@ class FoldedPair(PairInstance):
         bases = [
             ranges[p].basis if p < len(ranges) else RatMatrix.zero(0, dims[p]) for p in degrees
         ]
-        return Subspace(sum(dims[p] for p in degrees), direct_sum(*bases))
+        return Subspace(direct_sum(*bases))
 
     @cached_property
     def range_st(self) -> Subspace:
@@ -285,21 +281,18 @@ class FoldedPair(PairInstance):
         qc = self.chain.quotient
 
         def summed(parity: int, killed: Subspace) -> QuotientStructure:
-            n = killed.ambient_dim
             if not killed.dim:  # every block is the identity quotient
-                identity = RatMatrix.identity(n)
-                return QuotientStructure(n, killed, n, identity, identity)
+                identity = RatMatrix.identity(killed.ambient_dim)
+                return QuotientStructure(killed, identity, identity)
             qs = [qc.quotients[p] for p in _degrees(qc.quotients, parity)]
             return QuotientStructure(
-                ambient_dim=killed.ambient_dim,
                 killed=killed,
-                quotient_dim=sum(q.quotient_dim for q in qs),
                 projection=direct_sum(*(q.projection for q in qs)),
                 section=direct_sum(*(q.section for q in qs)),
             )
 
         if self.range_st.dim or self.range_ts.dim:
-            s_tilde, t_tilde = _fold(qc.maps_tilde, [q.quotient_dim for q in qc.quotients])
+            s_tilde, t_tilde = _fold([q.quotient_dim for q in qc.quotients], qc.maps_tilde)
         else:  # nothing is killed, so every d~_p is d_p and S~, T~ are S, T
             s_tilde, t_tilde = self.s, self.t
         return InducedPair(
@@ -312,12 +305,12 @@ class FoldedPair(PairInstance):
 
 def fold_to_pair(c: ChainInstance) -> FoldedPair:
     """Pack even degrees into X, odd degrees into Y, with S and T the
-    degree-lowering maps between them (ascending block order).
+    degree-lowering maps between them: ``_fold(c.dims, c.maps)``.
 
     The pair reads its composition ranges, quotients and induced maps from
     ``c``, through a copy that shares them; its defects and inverse
     extensions are derived from S and T."""
-    s, t = _fold(c.maps, c.dims)
+    s, t = _fold(c.dims, c.maps)
     return FoldedPair(dim_x=s.cols, dim_y=s.rows, s=s, t=t, chain=c._sharing_copy())
 
 
@@ -397,19 +390,6 @@ def _delta_prime(c: ChainInstance, qc: QuotientChain, p: int) -> RatMatrix:
     return _degree_map(qc.extended_inverses, c.dims, p, upward=True)
 
 
-def _parity_operator(c: ChainInstance, qc: QuotientChain, source: list[int], target: list[int]) -> RatMatrix:
-    """The block operator with column p carrying d_p down and d'_{p+1} up."""
-
-    def blocks(q, p):
-        if p == q + 1:
-            return c.delta(p)
-        if p == q - 1:
-            return _delta_prime(c, qc, q)
-        return None
-
-    return _fold_map(c.dims, source, target, blocks)
-
-
 def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
     """index of the even-to-odd operator (+)(d_p + d'_{p+1}) equals the chain
     index and the negative of its odd-to-even sibling; both coincide exactly
@@ -417,9 +397,8 @@ def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
     ``index_even`` and ``index_odd`` are shape-determined, as an m x n matrix
     has index n - m and the chain index is the Euler characteristic."""
     defects, qc = c.defects, c.quotient
-    even, odd = _degrees(c.dims, 0), _degrees(c.dims, 1)
-    e = _parity_operator(c, qc, even, odd)
-    o = _parity_operator(c, qc, odd, even)
+    # column p carries d_p down and d'_{p+1} up
+    e, o = _fold(c.dims, c.maps, qc.extended_inverses)
     # nullity - corank = (cols - r) - (rows - r) for every rank r, so no rank can change these
     index_e, index_o = e.cols - e.rows, o.cols - o.rows
 

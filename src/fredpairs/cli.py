@@ -160,6 +160,8 @@ def _fuzz_instance(cfg_seed: int, ordinal: int, args):
 
 
 def cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise InputError(f"--count must be nonnegative, got {args.count}")
     failures = 0
     for ordinal in range(args.count):
         seed, kind, instance, reports = _fuzz_instance(args.seed, ordinal, args)

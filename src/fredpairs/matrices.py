@@ -83,9 +83,14 @@ def _rescaled(m: "RatMatrix", den: int) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class RrefResult:
+    """The nonzero rows of the rref, rank x cols, and the pivot column of each."""
+
     reduced: "RatMatrix"
     pivot_columns: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivot_columns)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,10 @@ class RankFactorization:
 
     left: "RatMatrix"
     right: "RatMatrix"
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return self.right.rows
 
 
 class RatMatrix:
@@ -255,18 +263,17 @@ class RatMatrix:
     # -- decompositions -----------------------------------------------
 
     def rref(self) -> RrefResult:
-        """Unique reduced row-echelon form, cached.
+        """Unique reduced row-echelon form, cached: its nonzero rows only.
 
         The kernel returns each nonzero row as primitive integers with a
         positive pivot p_i; over den = lcm(p_i) every pivot entry becomes den,
-        and the result is canonical because each row is primitive.
+        and the result is canonical because each row is primitive.  A zero
+        matrix needs no row reduction: its rref has no rows.
         """
         cached = self._rref
         if cached is None:
             if self.is_zero():
-                # no row reduction: the matrix is its own rref, and it is
-                # canonical over den 1 as the kernel's zero rows would be
-                cached = RrefResult(self, (), 0)
+                cached = RrefResult(RatMatrix._raw(0, self.cols, [], 1), ())
             else:
                 rows, pivots = rref_rows(self.num, self.cols)
                 den = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
@@ -274,8 +281,7 @@ class RatMatrix:
                     f = den // rows[i][c]
                     if f != 1:
                         rows[i] = [x * f for x in rows[i]]
-                reduced = RatMatrix._raw(self.rows, self.cols, rows, den)
-                cached = RrefResult(reduced, tuple(pivots), len(pivots))
+                cached = RrefResult(RatMatrix._raw(len(rows), self.cols, rows, den), tuple(pivots))
             object.__setattr__(self, "_rref", cached)
         return cached
 
@@ -291,16 +297,15 @@ class RatMatrix:
     def rank_factorization(self) -> RankFactorization:
         """Full rank factorization A = C * R from the rref of A.
 
-        C collects the pivot columns of A, R the nonzero rows of rref(A).
-        A zero matrix factors through rank 0 with empty factors.
+        C collects the pivot columns of A, and R is the reduced matrix of the
+        rref itself.  A zero matrix factors through rank 0 with empty factors.
         """
         result = self.rref()
-        r = result.rank
+        pivots = result.pivot_columns
         left = RatMatrix._canonical(
-            self.rows, r, [[row[c] for c in result.pivot_columns] for row in self.num], self.den
+            self.rows, len(pivots), [[row[c] for c in pivots] for row in self.num], self.den
         )
-        right = RatMatrix._raw(r, self.cols, result.reduced.num[:r], result.reduced.den)
-        return RankFactorization(left, right, r)
+        return RankFactorization(left, result.reduced)
 
     def pseudoinverse(self) -> "RatMatrix":
         """The Moore-Penrose pseudoinverse, exact over Q.

@@ -1,9 +1,10 @@
 """Canonical subspaces of Q^n and quotient-space machinery.
 
-Every subspace is stored by its reduced row-echelon basis, so two subspaces
-are equal iff their basis matrices are identical.  Complements are always the
-orthogonal complement under the standard dot product, which makes every
-choice in the package deterministic.
+Every subspace is stored by the reduced matrix of the rref of a spanning
+set, which holds the nonzero rows only, so two subspaces are equal iff their
+basis matrices are identical.  Complements are always the orthogonal
+complement under the standard dot product, which makes every choice in the
+package deterministic.
 
 The defect numbers need only dimensions, so ``defect_numbers`` builds no
 subspace: by Grassmann's formula dim(U & V) = dim U + dim V - dim(U + V),
@@ -26,24 +27,24 @@ from .matrices import RatMatrix, _solve, block, vstack
 
 @dataclass(frozen=True)
 class Subspace:
-    ambient_dim: int
-    basis: RatMatrix  # k x ambient_dim, rows in reduced echelon form
+    basis: RatMatrix  # dim x ambient_dim, an rref's reduced matrix: no zero row
 
     @staticmethod
     def spanned_by(rows: RatMatrix) -> "Subspace":
         """Canonicalize a spanning set (rows of a matrix) into a Subspace."""
-        result = rows.rref()
-        red, rank = result.reduced, result.rank
-        # Dropping the zero rows past the rank keeps the rows canonical over red.den.
-        return Subspace(rows.cols, RatMatrix._raw(rank, rows.cols, red.num[:rank], red.den))
+        return Subspace(rows.rref().reduced)
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.zero(0, ambient_dim))
+        return Subspace(RatMatrix.zero(0, ambient_dim))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RatMatrix.identity(ambient_dim))
+        return Subspace(RatMatrix.identity(ambient_dim))
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.basis.cols
 
     @property
     def dim(self) -> int:
@@ -76,8 +77,8 @@ class Subspace:
         result = block([[u, u], [v, RatMatrix.zero(v.rows, n)]]).rref()
         first = bisect_left(result.pivot_columns, n)
         red = result.reduced
-        rows = [row[n:] for row in red.num[first : result.rank]]
-        return Subspace(n, RatMatrix._canonical(len(rows), n, rows, red.den))
+        rows = [row[n:] for row in red.num[first:]]
+        return Subspace(RatMatrix._canonical(len(rows), n, rows, red.den))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)
@@ -90,14 +91,21 @@ class QuotientStructure:
 
     ``projection`` is the matrix of the quotient map pi restricted to the
     chosen coordinates, ``section`` a right inverse of it whose image is the
-    orthogonal complement of ``killed``.
+    orthogonal complement of ``killed``.  Both dimensions are read off the
+    projection's shape.
     """
 
-    ambient_dim: int
     killed: Subspace
-    quotient_dim: int
     projection: RatMatrix  # quotient_dim x ambient_dim
     section: RatMatrix  # ambient_dim x quotient_dim
+
+    @property
+    def ambient_dim(self) -> int:
+        return self.projection.cols
+
+    @property
+    def quotient_dim(self) -> int:
+        return self.projection.rows
 
 
 def _null_rows(a: RatMatrix) -> list[list[int]]:
@@ -164,10 +172,10 @@ def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
         raise InvariantError("a null row of the rref is not in the null space")
     if not nullity or not rank_b:
         return nullity, rank_b
-    red = RatMatrix._raw(a.rank, n, a.rref().reduced.num[: a.rank], 1)
+    red = a.rref().reduced.num  # taken over 1 like B_c: no rank depends on a denominator
     pivots = b.rref().pivot_columns
     b_c = RatMatrix._raw(n, rank_b, [[row[c] for c in pivots] for row in b.num], 1)
-    b_defect = (red @ b_c).rank
+    b_defect = (RatMatrix._raw(a.rank, n, red, 1) @ b_c).rank
     return nullity - rank_b + b_defect, b_defect
 
 
@@ -195,16 +203,10 @@ def quotient(ambient_dim: int, killed: Subspace) -> QuotientStructure:
         raise DimensionError("killed subspace lives in the wrong ambient space")
     if not killed.dim:
         identity = RatMatrix.identity(ambient_dim)
-        return QuotientStructure(ambient_dim, killed, ambient_dim, identity, identity)
+        return QuotientStructure(killed, identity, identity)
     c = orthogonal_complement(killed).basis
     section = c.transpose()
-    return QuotientStructure(
-        ambient_dim=ambient_dim,
-        killed=killed,
-        quotient_dim=c.rows,
-        projection=_solve(c @ section, c),
-        section=section,
-    )
+    return QuotientStructure(killed=killed, projection=_solve(c @ section, c), section=section)
 
 
 def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> RatMatrix:

@@ -3,8 +3,9 @@
 Straightforward Gauss-Jordan reduction and matrix multiplication working
 directly on ``Fraction`` entries.  Given the same integers, the library's
 integer kernels in ``fredpairs._kernels`` must return the same product, and
-the same pivots and reduced rows once each nonzero row is divided by its
-pivot entry.
+the same pivots and nonzero reduced rows once each row is divided by its
+pivot entry.  The reference keeps the zero rows past the rank, which the
+library's ``rref_rows`` drops.
 """
 
 from fractions import Fraction
@@ -16,7 +17,8 @@ def rref_rows(rows, ncols):
     """Reduce ``rows`` (lists of Fractions) to reduced row-echelon form.
 
     Returns ``(new_rows, pivots)`` where ``pivots`` lists the pivot column of
-    each nonzero row in order.  The input lists are not modified.
+    each nonzero row in order; ``new_rows`` has a row for every input row, so
+    the rows past the rank are zero.  The input lists are not modified.
     """
     rows = [list(row) for row in rows]
     m = len(rows)

@@ -99,6 +99,27 @@ class TestSharedObjects:
         finally:
             gc.enable()
 
+    def test_verifying_leaves_no_cyclic_garbage(self):
+        # Every derived object is freed by reference counting alone; a zero
+        # matrix whose cached rref held the matrix itself once left cycles.
+        pairs_61, chains_61 = fuzz_pairs(61, 8), fuzz_chains(61, 8)
+        gc.collect()
+        saved = len(gc.garbage)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for pair in map(replace, pairs_61):
+                assert verify_theorem_3_4(pair).passed and verify_theorem_3_6(pair).passed
+            for chain in map(replace, chains_61):
+                for verify in (verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4):
+                    assert verify(chain).passed
+            del pair, chain
+            gc.collect()
+            garbage = gc.garbage[saved:]
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[saved:]
+        assert not garbage, f"{len(garbage)} objects were left in reference cycles"
+
     def test_custom_bundle_differs_from_default(self):
         pair = PairInstance(2, 1, mat([[1, 0]]), mat([[0], [1]]))
         bundle = build_extensions(pair, s_tilde_prime=mat([[1]]), t_tilde_prime=mat([[7]]))
@@ -217,18 +238,20 @@ class TestComputedOnce:
         pair = replace(next(p for p in PAIRS if nonzero_plus(p)))
         chain = replace(next(c for c in CHAINS if nonzero_plus(c.folded)))
         reduced, parity = [], []
-        rref, parity_operator = RatMatrix.rref, chains._parity_operator
+        rref, fold = RatMatrix.rref, chains._fold
 
         def recorded_rref(m):
             reduced.append(m)
             return rref(m)
 
-        def recorded_parity(*args):
-            parity.append(parity_operator(*args))
-            return parity[-1]
+        def recorded_fold(dims, down, up=()):
+            operators = fold(dims, down, up)
+            if up:  # the parity operators carry the extended inverses up
+                parity.extend(operators)
+            return operators
 
         monkeypatch.setattr(RatMatrix, "rref", recorded_rref)
-        monkeypatch.setattr(chains, "_parity_operator", recorded_parity)
+        monkeypatch.setattr(chains, "_fold", recorded_fold)
         assert verify_theorem_3_4(pair).passed and verify_theorem_4_2(chain).passed
         assert reduced and len(parity) == 2
         indexed = (pair.extensions.s_plus, pair.extensions.t_plus, *parity)

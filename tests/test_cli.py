@@ -196,6 +196,10 @@ class TestFuzz:
         assert code == 0
         assert json.loads(out)["summary"]["count"] == 0
 
+    def test_negative_count_rejected(self, capsys):
+        code, out, err = run(capsys, ["fuzz", "--count", "-3"])
+        assert (code, out) == (2, "") and "--count" in err
+
     # sha256 of the whole stdout: the bytes fuzz prints for a seed are a
     # contract, so a change that alters them the same way on every run fails.
     PINNED = [

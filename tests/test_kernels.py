@@ -1,9 +1,10 @@
 """The integer kernels agree with the plain Fraction loops of the reference.
 
-The kernels take and return integer rows.  ``rref_rows`` returns each
-nonzero row of the reduced form scaled to primitive integers with a positive
-pivot, so its rows are divided by their pivots before they are compared with
-the reference, which runs on the same integers as ``Fraction``s.
+The kernels take and return integer rows.  ``rref_rows`` returns only the
+nonzero rows of the reduced form, each scaled to primitive integers with a
+positive pivot, so its rows are divided by their pivots before they are
+compared with the reference, which runs on the same integers as
+``Fraction``s and keeps the zero rows past the rank.
 """
 
 import copy
@@ -59,12 +60,10 @@ def all_ints(rows):
 
 
 def check_primitive(out, pivots):
-    """Nonzero rows are primitive with a positive pivot; the rest are zero."""
-    for i, row in enumerate(out):
-        if i < len(pivots):
-            assert gcd(*row) == 1 and row[pivots[i]] > 0
-        else:
-            assert not any(row)
+    """One row per pivot, each primitive with a positive pivot entry."""
+    assert len(out) == len(pivots)
+    for row, p in zip(out, pivots):
+        assert gcd(*row) == 1 and row[p] > 0
 
 
 def check_rref(rows, ncols):
@@ -73,12 +72,12 @@ def check_rref(rows, ncols):
     out, pivots = rref_rows(rows, ncols)
     expected, expected_pivots = reference.rref_rows(as_fractions(before), ncols)
     assert pivots == expected_pivots
-    divided = [
-        [Fraction(x, row[pivots[i]]) for x in row] if i < len(pivots) else row
-        for i, row in enumerate(out)
-    ]
-    assert divided == expected
-    assert len(out) == len(rows) and all(len(row) == ncols for row in out)
+    rank = len(pivots)
+    assert len(out) == rank and all(len(row) == ncols for row in out)
+    divided = [[Fraction(x, row[p]) for x in row] for row, p in zip(out, pivots)]
+    assert divided == expected[:rank]
+    # the reference keeps the zero rows past the rank, which the kernel drops
+    assert len(expected) == len(rows) and not any(any(row) for row in expected[rank:])
     assert all_ints(out)
     check_primitive(out, pivots)
     assert rows == before and [id(row) for row in rows] == ids
@@ -114,7 +113,7 @@ def test_mat_mul_matches_reference(case):
 def test_empty_shapes():
     assert rref_rows([], 0) == ([], [])
     assert rref_rows([], 3) == ([], [])
-    assert rref_rows([[], []], 0) == ([[], []], [])
+    assert rref_rows([[], []], 0) == ([], [])
     assert mat_mul([], [], 0, 0, 0) == []
     assert mat_mul([[], []], [], 2, 0, 3) == [[0] * 3] * 2
     assert mat_mul([[1]], [[]], 1, 1, 0) == [[]]

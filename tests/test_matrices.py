@@ -19,13 +19,15 @@ class TestRref:
     def test_zero_matrix_is_fixed(self):
         z = RatMatrix.zero(2, 2)
         result = z.rref()
-        assert result.reduced == z
+        # no nonzero row: the rref has none, and is not the matrix itself
+        assert result.reduced == RatMatrix.zero(0, 2)
+        assert result.reduced is not z
         assert result.pivot_columns == ()
         assert result.rank == 0
 
     def test_rank_one(self):
         result = mat([[2, 4], [1, 2]]).rref()
-        assert result.reduced == mat([[1, 2], [0, 0]])
+        assert result.reduced == mat([[1, 2]])
         assert result.pivot_columns == (0,)
         assert result.rank == 1
 
@@ -92,6 +94,11 @@ class TestRankFactorization:
         assert fact.rank == 0
         assert fact.left.shape == (2, 0)
         assert fact.right.shape == (0, 3)
+
+    def test_right_factor_is_the_reduced_matrix(self):
+        # the rref holds its nonzero rows only, so R is that matrix, not a copy
+        for m in (mat([[1, 2], [2, 4]]), RatMatrix.zero(2, 3), RatMatrix.identity(3)):
+            assert m.rank_factorization().right is m.rref().reduced
 
 
 def penrose_identities_hold(a, b):
@@ -307,7 +314,10 @@ class TestRepresentation:
         result = a.rref()
         rows, pivots = reference.rref_rows(grid_of(a), a.cols)
         assert canonical(result.reduced)
-        assert grid_of(result.reduced) == rows and list(result.pivot_columns) == pivots
+        assert grid_of(result.reduced) == rows[: result.rank]
+        assert list(result.pivot_columns) == pivots
+        # the reference keeps the zero rows past the rank, which the rref drops
+        assert len(rows) == a.rows and not any(any(row) for row in rows[result.rank :])
         # the four Penrose identities, in plain Fractions, pin down the pseudoinverse
         g = a.pseudoinverse()
         assert canonical(g)
@@ -369,7 +379,9 @@ class TestRepresentation:
         z = RatMatrix.zero(rows, cols)
         kernel_rows, kernel_pivots = rref_rows(z.num, cols)
         result = z.rref()
-        assert result.reduced == RatMatrix._raw(rows, cols, kernel_rows, 1)
+        assert kernel_rows == []
+        assert result.reduced == RatMatrix._raw(0, cols, kernel_rows, 1)
+        assert result.reduced is not z
         assert canonical(result.reduced)
         assert list(result.pivot_columns) == kernel_pivots == []
         assert result.rank == 0

@@ -95,6 +95,11 @@ class TestKernelAndImage:
         assert image_basis(RatMatrix.zero(2, 2)) == Subspace.zero(2)
         assert image_basis(mat([[1], [0]])) == span([[1, 0]], cols=2)
 
+    def test_a_spanned_subspace_holds_the_reduced_matrix(self):
+        # the rref holds its nonzero rows only, so the basis is that matrix, not a copy
+        for m in (mat([[2, 4], [1, 2]]), RatMatrix.zero(2, 3), RatMatrix.identity(2)):
+            assert Subspace.spanned_by(m).basis is m.rref().reduced
+
 
 @st.composite
 def composable_maps(draw, max_dim=6):
