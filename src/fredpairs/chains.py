@@ -2,20 +2,22 @@
 complexes with compatible inverse families, and the chain-level verifiers.
 
 A chain is a finite sequence of spaces X_0..X_n with maps d_p: X_p -> X_{p-1}
-for p = 1..n; maps outside that range are zero into/out of zero spaces.
-Consecutive compositions need not vanish (chains are more general than
-complexes).
+for p = 1..n.  Consecutive compositions need not vanish (chains are more
+general than complexes).  Every family of maps between neighbouring degrees
+is padded once, by ``_down`` or ``_up``, to the members 0..n+1, with a zero
+map out of or into the zero space at either end.
 
 The folded pair (remark 2.3) puts the even degrees into X and the odd ones
-into Y in ascending order.  One block assembly, ``_fold(dims, down, up)``,
-builds every operator between the two parities: S and T, S~ and T~, and the
-parity operators of theorem 4.2.  The folded composition ranges, quotients
-and induced maps are block-diagonal assemblies of the chain's per-degree
-ones, so the folded pair takes them from the chain.  Its pseudoinverses,
-inverse extensions and defects are derived from the folded matrices
-themselves: theorem 4.2 compares those pseudoinverses with the per-degree
-ones, and remark 2.3 compares those defects with the chain's, so neither may
-be built from the other.
+into Y in ascending order.  In that layout a map between the two parities is
+block diagonal in a padded family, so ``_fold`` takes the direct sums of its
+even- and odd-indexed members: S and T, S~ and T~, and the generalized
+inverses that theorem 4.2 adds to S and T.  The folded composition ranges,
+quotients and induced maps are direct sums of the chain's per-degree ones,
+so the folded pair takes them from the chain.  Its pseudoinverses, inverse
+extensions and defects are derived from the folded matrices themselves:
+theorem 4.2 compares those pseudoinverses with the per-degree ones, and
+remark 2.3 compares those defects with the chain's, so neither may be built
+from the other.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
-from .matrices import RatMatrix, block, direct_sum
+from .matrices import RatMatrix, direct_sum
 from .pairs import InducedPair, PairInstance, TheoremReport, fredholm_data
 from .subspaces import (
     QuotientStructure,
@@ -115,8 +117,10 @@ class ChainInstance:
         return sum(d if p % 2 == 0 else -d for p, d in enumerate(self.dims))
 
     def delta(self, p: int) -> RatMatrix:
-        """d_p with the zero-extension convention outside 1..n."""
-        return _degree_map(self.maps, self.dims, p)
+        """d_p as padded by ``_down`` for p = 0..n+1, and the zero map
+        between zero spaces beyond."""
+        down = _down(self.maps, self.dims)
+        return down[p] if 0 <= p < len(down) else RatMatrix.zero(0, 0)
 
     def to_json_obj(self) -> dict:
         return {"dims": list(self.dims), "maps": [m.to_json_obj() for m in self.maps]}
@@ -144,19 +148,40 @@ class ChainInstance:
         return cls(tuple(dims), tuple(parsed))
 
 
-def _degree_map(maps, dims, p: int, upward: bool = False) -> RatMatrix:
-    """maps[p-1], one of a family of maps between degrees p and p-1, p = 1..n.
+def _down(maps, dims) -> tuple[RatMatrix, ...]:
+    """d_0..d_{n+1}: the maps d_p: X_p -> X_{p-1} of ``maps`` (p = 1..n) on
+    degrees of dimensions ``dims``, between the zero maps out of X_0 and into
+    X_n; a degree outside 0..n is the zero space."""
+    return (RatMatrix.zero(0, dims[0]), *maps, RatMatrix.zero(dims[-1], 0))
 
-    ``dims`` are the dimensions of degrees 0..n.  Outside 1..n the map is zero,
-    and a degree outside 0..n is the zero space.  A downward map goes from
-    degree p to p-1, an upward one from p-1 to p.
+
+def _up(maps, dims) -> tuple[RatMatrix, ...]:
+    """d'_0..d'_{n+1}: the maps d'_p: X_{p-1} -> X_p of ``maps`` (p = 1..n),
+    between the zero maps into X_0 and out of X_n."""
+    return (RatMatrix.zero(dims[0], 0), *maps, RatMatrix.zero(0, dims[-1]))
+
+
+def _fold(family) -> tuple[RatMatrix, RatMatrix]:
+    """The direct sums of the even- and of the odd-indexed members of a
+    padded family.
+
+    The even-indexed members of ``_down`` have even sources, so its first
+    fold maps the even degrees to the odd ones; those of ``_up`` have even
+    targets, so its first fold maps the odd degrees to the even ones.  Either
+    way the blocks follow the ascending order of the degrees, which is the
+    layout of the folded pair.  A family indexed by the degrees 0..n, such
+    as the bases of what each degree kills or the projections of its
+    quotient, folds the same way.
     """
-    if 1 <= p <= len(maps):
-        return maps[p - 1]
-    n = len(dims) - 1
-    below = dims[p - 1] if 0 <= p - 1 <= n else 0
-    here = dims[p] if 0 <= p <= n else 0
-    return RatMatrix.zero(here, below) if upward else RatMatrix.zero(below, here)
+    return direct_sum(*family[0::2]), direct_sum(*family[1::2])
+
+
+def _killed(c: ChainInstance) -> tuple[Subspace, ...]:
+    """What the quotient chain kills in each degree p = 0..n: the composition
+    range R(d_{p+1} d_{p+2}), and the zero subspace at the two top degrees,
+    which have no such composition."""
+    ranges = c.composition_ranges
+    return ranges + tuple(Subspace.zero(d) for d in c.dims[len(ranges) :])
 
 
 @dataclass(frozen=True)
@@ -195,9 +220,10 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
     the pivot columns of d_{p+1} at a degree where the chain is a complex.
     Nothing here reads the composition ranges.
     """
+    down = _down(c.maps, c.dims)
     a, b, d = [], [], []
     for p in range(c.top_degree + 1):
-        a_p, b_p = defect_numbers(c.delta(p), c.delta(p + 1))
+        a_p, b_p = defect_numbers(down[p], down[p + 1])
         a.append(a_p)
         b.append(b_p)
         d.append(a_p - b_p)
@@ -205,49 +231,22 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
     return ChainDefects(a=tuple(a), b=tuple(b), d=tuple(d), index=index)
 
 
-def _degrees(dims, parity: int) -> list[int]:
-    return list(range(parity, len(dims), 2))
-
-
-def _fold(dims, down, up=()) -> tuple[RatMatrix, RatMatrix]:
-    """The even-to-odd and the odd-to-even block operator on degrees of ``dims``.
-
-    Column p carries down[p-1] (degree p to p-1) and, when ``up`` is given,
-    up[p] (degree p to p+1); every other block is zero.  Degrees are laid out
-    in ascending order, which makes folding bit-exact.
-    """
-
-    def block_at(q, p):  # from degree p to degree q
-        if p == q + 1:
-            return down[p - 1]
-        if p == q - 1 and up:
-            return up[p]
-        return RatMatrix.zero(dims[q], dims[p])
-
-    def operator(source, target):
-        if not target or not source:
-            return RatMatrix.zero(sum(dims[q] for q in target), sum(dims[p] for p in source))
-        return block([[block_at(q, p) for p in source] for q in target])
-
-    even, odd = _degrees(dims, 0), _degrees(dims, 1)
-    return operator(even, odd), operator(odd, even)
-
-
 @dataclass(frozen=True)
 class FoldedPair(PairInstance):
     """The pair a chain folds into, which reads its composition ranges,
     quotients and induced maps from the chain.
 
-    With the ascending block order, T S maps X_{p+2} into X_p for even p and
-    S T does so for odd p, so R(TS) and R(ST) are the direct sums of the
-    chain's R(d_{p+1} d_{p+2}) over the even and the odd degrees.  rref and
-    the orthogonal complement of a block-diagonal basis are block diagonal,
-    so the quotients X/R(TS) and Y/R(ST) are the direct sums of the chain's
-    per-degree quotients, and S~, T~ the fold of its induced maps d~_p.  All
-    of them are canonical, so each equals what the pair would derive from the
-    folded matrices.  The induced pair's own checks are direct sums of the
-    chain's: the commuting square of each d~_p, and d~_p d~_{p+1} = 0, the
-    blocks of S~T~ and T~S~.
+    S and T are the folds of the padded d_0..d_{n+1}, so T S maps X_{p+2}
+    into X_p for even p and S T does so for odd p: R(TS) and R(ST) are the
+    folds of the chain's killed subspaces, R(d_{p+1} d_{p+2}) at p = 0..n-2
+    and zero at the two top degrees.  rref and the orthogonal complement of a
+    block-diagonal basis are block diagonal, so the quotients X/R(TS) and
+    Y/R(ST) are the folds of the chain's per-degree quotients (a fold of
+    identity quotients is the identity quotient), and S~, T~ the fold of its
+    padded induced maps d~_0..d~_{n+1}.  All of them are canonical, so each
+    equals what the pair would derive from the folded matrices.  The induced
+    pair's own checks are direct sums of the chain's: the commuting square of
+    each d~_p, and d~_p d~_{p+1} = 0, the blocks of S~T~ and T~S~.
 
     ``chain`` is a copy of the chain that shares its per-degree objects
     (``ChainInstance._sharing_copy``).  It is not compared, hashed or shown,
@@ -257,13 +256,7 @@ class FoldedPair(PairInstance):
     chain: ChainInstance = field(compare=False, repr=False)
 
     def _folded_range(self, parity: int) -> Subspace:
-        dims, ranges = self.chain.dims, self.chain.composition_ranges
-        degrees = _degrees(dims, parity)
-        # the two top degrees have no composition, so they contribute zero
-        bases = [
-            ranges[p].basis if p < len(ranges) else RatMatrix.zero(0, dims[p]) for p in degrees
-        ]
-        return Subspace(direct_sum(*bases))
+        return Subspace(_fold([k.basis for k in _killed(self.chain)])[parity])
 
     @cached_property
     def range_st(self) -> Subspace:
@@ -277,27 +270,18 @@ class FoldedPair(PairInstance):
 
     @cached_property
     def induced(self) -> InducedPair:
-        """The direct sums of the chain's quotients, and the fold of its induced maps."""
+        """The folds of the chain's quotients and of its induced maps."""
         qc = self.chain.quotient
-
-        def summed(parity: int, killed: Subspace) -> QuotientStructure:
-            if not killed.dim:  # every block is the identity quotient
-                identity = RatMatrix.identity(killed.ambient_dim)
-                return QuotientStructure(killed, identity, identity)
-            qs = [qc.quotients[p] for p in _degrees(qc.quotients, parity)]
-            return QuotientStructure(
-                killed=killed,
-                projection=direct_sum(*(q.projection for q in qs)),
-                section=direct_sum(*(q.section for q in qs)),
-            )
-
         if self.range_st.dim or self.range_ts.dim:
-            s_tilde, t_tilde = _fold([q.quotient_dim for q in qc.quotients], qc.maps_tilde)
+            q_dims = [q.quotient_dim for q in qc.quotients]
+            s_tilde, t_tilde = _fold(_down(qc.maps_tilde, q_dims))
         else:  # nothing is killed, so every d~_p is d_p and S~, T~ are S, T
             s_tilde, t_tilde = self.s, self.t
+        projections = _fold([q.projection for q in qc.quotients])
+        sections = _fold([q.section for q in qc.quotients])
         return InducedPair(
-            q_x=summed(0, self.range_ts),
-            q_y=summed(1, self.range_st),
+            q_x=QuotientStructure(self.range_ts, projections[0], sections[0]),
+            q_y=QuotientStructure(self.range_st, projections[1], sections[1]),
             s_tilde=s_tilde,
             t_tilde=t_tilde,
         )
@@ -305,12 +289,12 @@ class FoldedPair(PairInstance):
 
 def fold_to_pair(c: ChainInstance) -> FoldedPair:
     """Pack even degrees into X, odd degrees into Y, with S and T the
-    degree-lowering maps between them: ``_fold(c.dims, c.maps)``.
+    degree-lowering maps between them: ``_fold(_down(c.maps, c.dims))``.
 
     The pair reads its composition ranges, quotients and induced maps from
     ``c``, through a copy that shares them; its defects and inverse
     extensions are derived from S and T."""
-    s, t = _fold(c.dims, c.maps)
+    s, t = _fold(_down(c.maps, c.dims))
     return FoldedPair(dim_x=s.cols, dim_y=s.rows, s=s, t=t, chain=c._sharing_copy())
 
 
@@ -352,13 +336,12 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     R(d_p d_{p+1}).  The extended inverse
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
-    n = c.top_degree
     ranges = c.composition_ranges
-    killed = ranges + tuple(Subspace.zero(d) for d in c.dims[len(ranges) :])
-    quotients = tuple(quotient(d, k) for d, k in zip(c.dims, killed))
+    quotients = tuple(quotient(d, k) for d, k in zip(c.dims, _killed(c)))
     try:
         maps_tilde = tuple(
-            induced_map(c.delta(p), quotients[p], quotients[p - 1]) for p in range(1, n + 1)
+            induced_map(d, q_dom, q_cod)
+            for d, q_dom, q_cod in zip(c.maps, quotients[1:], quotients)
         )
     except PreconditionError as exc:
         raise InvariantError(f"the induced chain: {exc}") from exc
@@ -375,7 +358,7 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
         if not (inverses_tilde[i + 1] @ inverses_tilde[i]).is_zero():
             raise InvariantError(f"inverses {i + 2} and {i + 1} do not compose to zero")
     extended = tuple(
-        lift(inverses_tilde[p - 1], quotients[p - 1], quotients[p]) for p in range(1, n + 1)
+        lift(m, q_dom, q_cod) for m, q_dom, q_cod in zip(inverses_tilde, quotients, quotients[1:])
     )
     return QuotientChain(
         quotients=quotients,
@@ -385,24 +368,22 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     )
 
 
-def _delta_prime(c: ChainInstance, qc: QuotientChain, p: int) -> RatMatrix:
-    """d'_p: X_{p-1} -> X_p with the zero convention outside 1..n."""
-    return _degree_map(qc.extended_inverses, c.dims, p, upward=True)
-
-
 def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
     """index of the even-to-odd operator (+)(d_p + d'_{p+1}) equals the chain
     index and the negative of its odd-to-even sibling; both coincide exactly
     with S + T' and T + S' of the folded pair under default extensions.
     ``index_even`` and ``index_odd`` are shape-determined, as an m x n matrix
     has index n - m and the chain index is the Euler characteristic."""
-    defects, qc = c.defects, c.quotient
-    # column p carries d_p down and d'_{p+1} up
-    e, o = _fold(c.dims, c.maps, qc.extended_inverses)
+    defects, qc, folded = c.defects, c.quotient, c.folded
+    # the fold of the padded d'_0..d'_{n+1} is the chain's S' (odd to even)
+    # and T' (even to odd), so e carries d_p down and d'_{p+1} up from each
+    # even degree p, and o does so from each odd one
+    s_prime, t_prime = _fold(_up(qc.extended_inverses, c.dims))
+    e, o = folded.s + t_prime, folded.t + s_prime
     # nullity - corank = (cols - r) - (rows - r) for every rank r, so no rank can change these
     index_e, index_o = e.cols - e.rows, o.cols - o.rows
 
-    bundle = c.folded.extensions
+    bundle = folded.extensions
     checks = {
         "index_even": index_e == defects.index,
         "index_odd": index_o == -defects.index,
@@ -430,18 +411,13 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
     shape-determined, since every Laplacian is square."""
     defects, qc = c.defects, c.quotient
     q_dims = [q.quotient_dim for q in qc.quotients]
-
-    def tilde_delta(p):
-        return _degree_map(qc.maps_tilde, q_dims, p)
-
-    def tilde_prime(p):
-        return _degree_map(qc.inverses_tilde, q_dims, p, upward=True)
-
+    down, up = _down(c.maps, c.dims), _up(qc.extended_inverses, c.dims)
+    down_t, up_t = _down(qc.maps_tilde, q_dims), _up(qc.inverses_tilde, q_dims)
     checks = {}
     degree_details = []
     for p in range(c.top_degree + 1):
-        lap = c.delta(p + 1) @ _delta_prime(c, qc, p + 1) + _delta_prime(c, qc, p) @ c.delta(p)
-        lap_tilde = tilde_delta(p + 1) @ tilde_prime(p + 1) + tilde_prime(p) @ tilde_delta(p)
+        lap = down[p + 1] @ up[p + 1] + up[p] @ down[p]
+        lap_tilde = down_t[p + 1] @ up_t[p + 1] + up_t[p] @ down_t[p]
         nullity, corank, index = fredholm_data(lap)
         nullity_t, _, index_t = fredholm_data(lap_tilde)
         q = qc.quotients[p]

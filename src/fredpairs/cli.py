@@ -20,6 +20,7 @@ import contextlib
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .chains import (
@@ -138,15 +139,9 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _fuzz_instance(cfg_seed: int, ordinal: int, args):
-    seed = child_seed(cfg_seed, ordinal)
-    cfg = GenConfig(
-        seed=seed,
-        max_dim=args.max_dim,
-        rank_budget=min(args.rank_budget, args.max_dim),
-        entry_bound=args.entry_bound,
-        complex_only=args.complex_only,
-    )
+def _fuzz_instance(cfg: GenConfig, ordinal: int):
+    seed = child_seed(cfg.seed, ordinal)
+    cfg = replace(cfg, seed=seed)
     rng = cfg.rng()
     if ordinal % 2 == 0:
         instance = random_pair(cfg, rng)
@@ -162,9 +157,17 @@ def _fuzz_instance(cfg_seed: int, ordinal: int, args):
 def cmd_fuzz(args) -> int:
     if args.count < 0:
         raise InputError(f"--count must be nonnegative, got {args.count}")
+    # checks the options once, whatever the count
+    cfg = GenConfig(
+        seed=args.seed,
+        max_dim=args.max_dim,
+        rank_budget=min(args.rank_budget, args.max_dim),
+        entry_bound=args.entry_bound,
+        complex_only=args.complex_only,
+    )
     failures = 0
     for ordinal in range(args.count):
-        seed, kind, instance, reports = _fuzz_instance(args.seed, ordinal, args)
+        seed, kind, instance, reports = _fuzz_instance(cfg, ordinal)
         passed = all(r.passed for r in reports)
         with _unlimited_int_digits():
             print(

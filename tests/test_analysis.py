@@ -237,23 +237,25 @@ class TestComputedOnce:
 
         pair = replace(next(p for p in PAIRS if nonzero_plus(p)))
         chain = replace(next(c for c in CHAINS if nonzero_plus(c.folded)))
+        folded = chain.folded  # S and T, before recording
         reduced, parity = [], []
-        rref, fold = RatMatrix.rref, chains._fold
+        rref, add = RatMatrix.rref, RatMatrix.__add__
 
         def recorded_rref(m):
             reduced.append(m)
             return rref(m)
 
-        def recorded_fold(dims, down, up=()):
-            operators = fold(dims, down, up)
-            if up:  # the parity operators carry the extended inverses up
-                parity.extend(operators)
-            return operators
+        def recorded_add(a, b):
+            total = add(a, b)
+            # the parity operators e, o and the folded pair's S + T', T + S'
+            if a is folded.s or a is folded.t:
+                parity.append(total)
+            return total
 
         monkeypatch.setattr(RatMatrix, "rref", recorded_rref)
-        monkeypatch.setattr(chains, "_fold", recorded_fold)
+        monkeypatch.setattr(RatMatrix, "__add__", recorded_add)
         assert verify_theorem_3_4(pair).passed and verify_theorem_4_2(chain).passed
-        assert reduced and len(parity) == 2
+        assert reduced and len(parity) == 4
         indexed = (pair.extensions.s_plus, pair.extensions.t_plus, *parity)
         assert not any(m is x for m in reduced for x in indexed)
 

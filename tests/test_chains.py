@@ -6,6 +6,7 @@ from fredpairs import (
     PairInstance,
     RatMatrix,
     chain_defects,
+    chains,
     fold_to_pair,
     image_basis,
     induced_pair,
@@ -17,6 +18,7 @@ from fredpairs import (
 )
 from fredpairs.generators import GenConfig, random_chain, random_matrix
 
+from _reference_chains import block_fold
 from conftest import mat
 
 
@@ -190,6 +192,65 @@ class TestQuotientChain:
             assert refolded.s == expected.s_tilde
             assert refolded.t == expected.t_tilde
         assert both_parities > len(instances) // 2
+
+
+def zero_degree_chains():
+    """Chains with no maps, and chains with a zero-dimensional degree at
+    either end or in the middle, each with a nonzero composition where the
+    length allows one."""
+    rank_one = mat([[1, 0], [0, 0]])
+    return [
+        ChainInstance((3,), ()),
+        ChainInstance((0,), ()),
+        ChainInstance((0, 2, 2, 2), (RatMatrix.zero(0, 2), rank_one, rank_one)),
+        ChainInstance((2, 2, 2, 0), (rank_one, rank_one, RatMatrix.zero(2, 0))),
+        ChainInstance((2, 0, 2), (RatMatrix.zero(2, 0), RatMatrix.zero(0, 2))),
+        ChainInstance(
+            (2, 2, 2, 0, 1),
+            (rank_one, mat([[1, 1], [0, 1]]), RatMatrix.zero(2, 0), RatMatrix.zero(0, 1)),
+        ),
+        ChainInstance((0, 0), (RatMatrix.zero(0, 0),)),
+    ]
+
+
+def dims_id(c):
+    return "x".join(map(str, c.dims))
+
+
+class TestReferenceFold:
+    """Every operator between the two parities equals the block grid of
+    ``_reference_chains.block_fold``."""
+
+    INSTANCES = zero_degree_chains() + random_chains(seed=127, count=10, rank_budget=4)
+
+    @pytest.mark.parametrize("c", INSTANCES, ids=dims_id)
+    def test_folds_equal_the_block_grid(self, c):
+        folded, qc = c.folded, c.quotient
+        assert (folded.s, folded.t) == block_fold(c.dims, c.maps)
+        q_dims = [q.quotient_dim for q in qc.quotients]
+        ind = folded.induced
+        assert (ind.s_tilde, ind.t_tilde) == block_fold(q_dims, qc.maps_tilde)
+        # the parity operators of theorem 4.2: S + T' and T + S' from the
+        # folds of the padded extended inverses d'_0..d'_{n+1}
+        e, o = block_fold(c.dims, c.maps, qc.extended_inverses)
+        s_prime, t_prime = chains._fold(chains._up(qc.extended_inverses, c.dims))
+        assert (folded.s + t_prime, folded.t + s_prime) == (e, o)
+        assert (folded.extensions.s_plus, folded.extensions.t_plus) == (e, o)
+        assert verify_theorem_4_2(c).passed and verify_remark_2_3(c).passed
+
+    def test_some_chain_with_a_zero_degree_kills_something(self):
+        assert any(c.folded.range_st.dim or c.folded.range_ts.dim for c in zero_degree_chains())
+
+    @pytest.mark.parametrize("c", zero_degree_chains(), ids=dims_id)
+    def test_padded_maps_are_the_zero_convention(self, c):
+        n = c.top_degree
+        down = chains._down(c.maps, c.dims)
+        assert len(down) == n + 2 and down[1 : n + 1] == c.maps
+        assert down[0].shape == (0, c.dims[0]) and down[n + 1].shape == (c.dims[n], 0)
+        assert all(c.delta(p) == down[p] for p in range(n + 2))
+        up = chains._up(c.quotient.extended_inverses, c.dims)
+        assert len(up) == n + 2 and up[1 : n + 1] == c.quotient.extended_inverses
+        assert up[0].shape == (c.dims[0], 0) and up[n + 1].shape == (0, c.dims[n])
 
 
 class TestTheorem42:

@@ -200,6 +200,21 @@ class TestFuzz:
         code, out, err = run(capsys, ["fuzz", "--count", "-3"])
         assert (code, out) == (2, "") and "--count" in err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-dim", "-1", "max_dim"),
+            ("--entry-bound", "0", "entry_bound"),
+            ("--rank-budget", "-1", "rank_budget"),
+        ],
+    )
+    @pytest.mark.parametrize("count", ["0", "2"])
+    def test_bad_generator_option_rejected(self, capsys, flag, value, message, count):
+        # the options are checked before the first instance, so even a run
+        # of no instances refuses them and prints nothing
+        code, out, err = run(capsys, ["fuzz", "--count", count, flag, value])
+        assert (code, out) == (2, "") and message in err
+
     # sha256 of the whole stdout: the bytes fuzz prints for a seed are a
     # contract, so a change that alters them the same way on every run fails.
     PINNED = [

@@ -1,10 +1,15 @@
 """Every verifier check can fail: mutations of the package and what they flip.
 
 Each mutation replaces one module global of the package, as a bug there
-would change it, and must flip exactly a known set of named checks over a
-fixed seeded set of fuzz pairs and chains.  Per-degree checks are named
-without their degree suffix.  The same set passes every check unmutated, so
-each flip is the mutation's doing.
+would change it, and must flip exactly a known set of named checks over each
+of two fixed seeded sets of fuzz pairs and chains.  Per-degree checks are
+named without their degree suffix.  Each set passes every check unmutated,
+so each flip is the mutation's doing.
+
+In the first set (seed 61) most instances are complexes, where the quotient
+machinery is the identity.  Every instance of the second (seed 71) has a
+nonzero composition range, so every pair and chain there quotients by
+something.
 """
 
 import re
@@ -57,15 +62,33 @@ def _fuzz_set():
     return fuzz_pairs, fuzz_chains
 
 
+def _ranges_set():
+    """20 fuzz pairs and 20 fuzz chains, each with a nonzero composition
+    range, drawn from one stream, the pairs first."""
+    cfg = GenConfig(seed=71, max_dim=6, rank_budget=4)
+    rng = cfg.rng()
+    fuzz_pairs, fuzz_chains = [], []
+    while len(fuzz_pairs) < 20:
+        pair = random_pair(cfg, rng)
+        if pair.range_st.dim or pair.range_ts.dim:
+            fuzz_pairs.append(pair)
+    while len(fuzz_chains) < 20:
+        chain = random_chain(cfg, rng.randint(2, 4), rng)
+        if any(r.dim for r in chain.composition_ranges):
+            fuzz_chains.append(chain)
+    return fuzz_pairs, fuzz_chains
+
+
 PAIRS, CHAINS = _fuzz_set()
+RANGE_PAIRS, RANGE_CHAINS = _ranges_set()
 
 
-def failed_checks() -> set[str]:
-    """The named checks that fail on fresh copies of the seeded set."""
+def failed_checks(fuzz_pairs=PAIRS, fuzz_chains=CHAINS) -> set[str]:
+    """The named checks that fail on fresh copies of a seeded set."""
     reports = []
-    for pair in map(replace, PAIRS):
+    for pair in map(replace, fuzz_pairs):
         reports += [verify_theorem_3_4(pair), verify_theorem_3_6(pair)]
-    for chain in map(replace, CHAINS):
+    for chain in map(replace, fuzz_chains):
         reports += [verify_remark_2_3(chain), verify_theorem_4_2(chain), verify_theorem_4_4(chain)]
         reports += [verify_theorem_3_4(chain.folded), verify_theorem_3_6(chain.folded)]
     failed = set()
@@ -154,7 +177,8 @@ def swap_same_shape(direct_sum):
     return wrong
 
 
-# name -> (module globals to replace, mutation of the original, checks it flips)
+# name -> (module globals to replace, mutation of the original, checks it
+# flips on the seed-61 set)
 MUTATIONS = {
     "meet_one_short": (
         [(pairs, "defect_numbers"), (chains, "defect_numbers")],
@@ -232,6 +256,15 @@ MUTATIONS = {
     ),
 }
 
+# The checks each mutation flips on the seed-71 set.  They are those of the
+# seed-61 set, except that no chain there shows the section-transpose lift in
+# theorem 4.4's perturbation rank.
+RANGES_FLIPS = {
+    **{name: flipped for name, (_, _, flipped) in MUTATIONS.items()},
+    "chain_lift_section_transpose": {"even_matches_folded", "odd_matches_folded"},
+    "lift_section_transpose": {"corrector_rank_bound"},
+}
+
 # Checks that no mutation can flip, with the reason.  A mutation that keeps
 # every shape cannot change a difference of dimensions, and one that changes
 # a shape raises ``DimensionError`` before any check is read.
@@ -243,6 +276,16 @@ UNFLIPPABLE = {
 
 def test_unmutated_set_passes():
     assert failed_checks() == set()
+
+
+def test_ranges_set_quotients_by_something():
+    assert len(RANGE_PAIRS) == len(RANGE_CHAINS) == 20
+    assert all(pair.range_st.dim or pair.range_ts.dim for pair in RANGE_PAIRS)
+    assert all(any(r.dim for r in chain.composition_ranges) for chain in RANGE_CHAINS)
+
+
+def test_unmutated_ranges_set_passes():
+    assert failed_checks(RANGE_PAIRS, RANGE_CHAINS) == set()
 
 
 def test_every_check_is_flipped_or_unflippable():
@@ -257,3 +300,11 @@ def test_mutation_flips_its_checks(monkeypatch, name):
     for module, attribute in targets:
         monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
     assert failed_checks() == flipped
+
+
+@pytest.mark.parametrize("name", list(MUTATIONS))
+def test_mutation_flips_its_checks_with_nonzero_ranges(monkeypatch, name):
+    targets, mutate, _ = MUTATIONS[name]
+    for module, attribute in targets:
+        monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    assert failed_checks(RANGE_PAIRS, RANGE_CHAINS) == RANGES_FLIPS[name]
