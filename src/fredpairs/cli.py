@@ -139,22 +139,27 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
-def _fuzz_instance(cfg: GenConfig, ordinal: int):
-    seed = child_seed(cfg.seed, ordinal)
-    cfg = replace(cfg, seed=seed)
+def _fuzz_instance(cfg: GenConfig, kind: str):
+    """The instance of one fuzz ordinal, generated from ``cfg`` and its seed."""
     rng = cfg.rng()
-    if ordinal % 2 == 0:
-        instance = random_pair(cfg, rng)
-        reports = _pair_reports(instance, PAIR_CHECKS)
-        kind = "pair"
-    else:
-        instance = random_chain(cfg, rng.randint(1, 5), rng)
-        reports = _chain_reports(instance, ("remark23", "thm42", "thm44"))
-        kind = "chain"
-    return seed, kind, instance, reports
+    if kind == "pair":
+        return random_pair(cfg, rng)
+    return random_chain(cfg, rng.randint(1, 5), rng)
+
+
+def _fuzz_reports(instance) -> list:
+    if isinstance(instance, PairInstance):
+        return _pair_reports(instance, PAIR_CHECKS)
+    return _chain_reports(instance, ("remark23", "thm42", "thm44"))
 
 
 def cmd_fuzz(args) -> int:
+    """Verify ``--count`` seeded instances, one JSON line each, then a summary.
+
+    An ``InvariantError`` fails only its own instance: the line gives its
+    message as ``"error"`` in place of ``"reports"``, the run goes on, and
+    it exits 3 once the summary is printed.
+    """
     if args.count < 0:
         raise InputError(f"--count must be nonnegative, got {args.count}")
     # checks the options once, whatever the count
@@ -165,41 +170,44 @@ def cmd_fuzz(args) -> int:
         entry_bound=args.entry_bound,
         complex_only=args.complex_only,
     )
-    failures = 0
+    failures = errors = 0
     for ordinal in range(args.count):
-        seed, kind, instance, reports = _fuzz_instance(cfg, ordinal)
-        passed = all(r.passed for r in reports)
+        seed = child_seed(cfg.seed, ordinal)
+        kind = "pair" if ordinal % 2 == 0 else "chain"
+        instance = error = None
+        try:
+            instance = _fuzz_instance(replace(cfg, seed=seed), kind)
+            reports = _fuzz_reports(instance)
+        except InvariantError as exc:
+            error = str(exc)
+        line = {"ordinal": ordinal, "kind": kind, "seed": seed}
         with _unlimited_int_digits():
-            print(
-                json.dumps(
-                    {
-                        "ordinal": ordinal,
-                        "kind": kind,
-                        "seed": seed,
-                        "instance": instance.to_json_obj(),
-                        "reports": [r.to_json_obj() for r in reports],
-                        "passed": passed,
-                    }
-                )
-            )
-        if not passed:
+            if instance is not None:  # None when the generator itself failed
+                line["instance"] = instance.to_json_obj()
+            if error is None:
+                line["reports"] = [r.to_json_obj() for r in reports]
+                line["passed"] = all(r.passed for r in reports)
+            else:
+                line["error"] = error
+                line["passed"] = False
+            print(json.dumps(line))
+        if error is not None:
+            errors += 1
+            print(f"invariant failed in instance {ordinal}: {error}", file=sys.stderr)
+        if not line["passed"]:
             failures += 1
-            directory = Path(args.failures_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            target = directory / f"instance_{args.seed}_{ordinal}.json"
-            target.write_text(json.dumps(instance.to_json_obj()), encoding="utf-8")
-    print(
-        json.dumps(
-            {
-                "summary": {
-                    "count": args.count,
-                    "passed": args.count - failures,
-                    "failed": failures,
-                    "seed": args.seed,
-                }
-            }
-        )
-    )
+            if instance is not None:
+                directory = Path(args.failures_dir)
+                directory.mkdir(parents=True, exist_ok=True)
+                target = directory / f"instance_{args.seed}_{ordinal}.json"
+                target.write_text(json.dumps(line["instance"]), encoding="utf-8")
+    summary = {"count": args.count, "passed": args.count - failures, "failed": failures}
+    if errors:
+        summary["errors"] = errors
+    summary["seed"] = args.seed
+    print(json.dumps({"summary": summary}))
+    if errors:
+        return 3
     return 0 if failures == 0 else 1
 
 

@@ -37,8 +37,16 @@ def _scalar(value) -> tuple[int, int]:
 
 
 def _parse_rat_string(text: str) -> tuple[int, int]:
+    """A string ``n`` or ``n/d`` of the grammar -?[0-9]+(/-?[0-9]+)?.
+
+    On ASCII text int() takes, beyond -?[0-9]+, only blanks (" " or not
+    printable), "+" and "_"; with those ruled out it takes exactly the
+    grammar's parts.
+    """
     parts = text.split("/")
     try:
+        if not (text.isascii() and text.isprintable()) or " " in text or "+" in text or "_" in text:
+            raise ValueError(text)
         if len(parts) == 1:
             return int(parts[0]), 1
         if len(parts) == 2:
@@ -47,11 +55,12 @@ def _parse_rat_string(text: str) -> tuple[int, int]:
             raise ValueError(text)
     except ValueError:
         raise InputError(f"malformed rational: {text!r}") from None
+    if den > 0:
+        g = gcd(num, den)
+        return (num, den) if g == 1 else (num // g, den // g)
     if den == 0:
         raise InputError(f"zero denominator: {text!r}")
-    g = gcd(num, den)
-    if den < 0:
-        g = -g
+    g = -gcd(num, den)
     return num // g, den // g
 
 
@@ -114,13 +123,13 @@ class RatMatrix:
         grid = [[_scalar(e) for e in row] for row in entries]
         if len(grid) != rows or any(len(row) != cols for row in grid):
             raise DimensionError(f"entry grid does not match shape {rows}x{cols}")
-        self._set(rows, cols, *_over_common_den(grid))
+        _fill(self, rows, cols, *_over_common_den(grid))
 
     @classmethod
     def _raw(cls, rows: int, cols: int, num: list[list[int]], den: int) -> "RatMatrix":
         """Wrap integer rows that are already canonical over ``den``; nothing is checked."""
-        self = object.__new__(cls)
-        self._set(rows, cols, num, den)
+        self = _new(cls)
+        _fill(self, rows, cols, num, den)
         return self
 
     @classmethod
@@ -135,15 +144,6 @@ class RatMatrix:
             num = [[x // g for x in row] for row in num]
             den //= g
         return cls._raw(rows, cols, num, den)
-
-    def _set(self, rows: int, cols: int, num: list[list[int]], den: int):
-        set_slot = object.__setattr__
-        set_slot(self, "rows", rows)
-        set_slot(self, "cols", cols)
-        set_slot(self, "num", num)
-        set_slot(self, "den", den)
-        set_slot(self, "_rref", None)
-        set_slot(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -205,7 +205,7 @@ class RatMatrix:
         h = self._hash
         if h is None:
             h = hash((self.rows, self.cols, self.den, tuple(map(tuple, self.num))))
-            object.__setattr__(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self) -> str:
@@ -213,7 +213,7 @@ class RatMatrix:
         return f"RatMatrix({self.rows}x{self.cols}: [{body}])"
 
     def is_zero(self) -> bool:
-        return not any(any(row) for row in self.num)
+        return not any(map(any, self.num))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -282,7 +282,7 @@ class RatMatrix:
                     if f != 1:
                         rows[i] = [x * f for x in rows[i]]
                 cached = RrefResult(RatMatrix._raw(len(rows), self.cols, rows, den), tuple(pivots))
-            object.__setattr__(self, "_rref", cached)
+            _set_rref(self, cached)
         return cached
 
     @property
@@ -308,16 +308,30 @@ class RatMatrix:
         return RankFactorization(left, result.reduced)
 
     def pseudoinverse(self) -> "RatMatrix":
-        """The Moore-Penrose pseudoinverse, exact over Q.
+        """The Moore-Penrose pseudoinverse, exact over Q, chosen by rank shape.
 
-        Computed from the full rank factorization A = C R as
-        R^T (R R^T)^-1 (C^T C)^-1 C^T, in solve form: the two Gram matrices
-        are invertible because C and R have full rank, so (R R^T)^-1 R and
-        (C^T C)^-1 C^T each come from one row reduction and only one product
-        joins them.  A zero matrix has empty factors and gives the zero
-        matrix.  The result satisfies all four Penrose identities with the
-        ordinary transpose.
+        - rank 0: the zero matrix of the transposed shape.
+        - full column rank: (A^T A)^-1 A^T, from one row reduction of
+          [A^T A | A^T].  A square invertible A takes this branch too.
+        - full row rank: A^T (A A^T)^-1, the transpose of (A A^T)^-1 A.
+        - otherwise, from the full rank factorization A = C R, as
+          R^T (R R^T)^-1 (C^T C)^-1 C^T in solve form: the two Gram matrices
+          are invertible because C and R have full rank, so (R R^T)^-1 R and
+          (C^T C)^-1 C^T each come from one row reduction and only one
+          product joins them.
+
+        The pseudoinverse is unique and a RatMatrix canonical, so every
+        branch gives the matrix the general formula would.  The result
+        satisfies all four Penrose identities with the ordinary transpose.
         """
+        rank = self.rank
+        if not rank:
+            return RatMatrix.zero(self.cols, self.rows)
+        if rank == self.cols:
+            t = self.transpose()
+            return _solve(t @ self, t)
+        if rank == self.rows:
+            return _solve(self @ self.transpose(), self).transpose()
         fact = self.rank_factorization()
         c, r = fact.left, fact.right
         ct = c.transpose()
@@ -347,8 +361,33 @@ class RatMatrix:
             cols = len(obj[0]) if obj else 0
         if len(obj) != rows or any(len(row) != cols for row in obj):
             raise InputError(f"matrix JSON does not have shape {rows}x{cols}")
-        grid = [[_json_scalar(e) for e in row] for row in obj]
+        # a string entry goes straight to its parser, one call fewer
+        grid = [
+            [_parse_rat_string(e) if type(e) is str else _json_scalar(e) for e in row]
+            for row in obj
+        ]
         return cls._raw(rows, cols, *_over_common_den(grid))
+
+
+# The slot descriptors' own setters fill a new matrix and its caches, since
+# RatMatrix.__setattr__ refuses every assignment; they cost less than
+# object.__setattr__, which looks each name up again.
+_new = object.__new__
+_set_rows = RatMatrix.rows.__set__
+_set_cols = RatMatrix.cols.__set__
+_set_num = RatMatrix.num.__set__
+_set_den = RatMatrix.den.__set__
+_set_rref = RatMatrix._rref.__set__
+_set_hash = RatMatrix._hash.__set__
+
+
+def _fill(m: RatMatrix, rows: int, cols: int, num: list[list[int]], den: int):
+    _set_rows(m, rows)
+    _set_cols(m, cols)
+    _set_num(m, num)
+    _set_den(m, den)
+    _set_rref(m, None)
+    _set_hash(m, None)
 
 
 def _solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -222,10 +222,6 @@ def induced_pair(p: PairInstance) -> InducedPair:
     return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
 
 
-def _is_generalized_inverse(a: RatMatrix, b: RatMatrix) -> bool:
-    return a @ b @ a == a
-
-
 def build_extensions(
     p: PairInstance,
     s_tilde_prime: RatMatrix | None = None,
@@ -240,7 +236,8 @@ def build_extensions(
     last two, so only A X A = A refuses it.  Supplying custom quotient-level
     inverses exercises the "any extensions" variant; they must actually be
     generalized inverses of S~ and T~, and the two extra identities are
-    only recorded.
+    only recorded.  Each inverse X of A is multiplied by A once: X A X = X
+    is checked as (X A) X and A X A = A as A (X A).
     """
     ind = p.induced
     if (s_tilde_prime is None) != (t_tilde_prime is None):
@@ -249,10 +246,9 @@ def build_extensions(
     if default:
         s_tilde_prime = ind.s_tilde.pseudoinverse()
         t_tilde_prime = ind.t_tilde.pseudoinverse()
-    normalized = (
-        _is_generalized_inverse(s_tilde_prime, ind.s_tilde)
-        and _is_generalized_inverse(t_tilde_prime, ind.t_tilde)
-    )
+    xa_s = s_tilde_prime @ ind.s_tilde
+    xa_t = t_tilde_prime @ ind.t_tilde
+    normalized = xa_s @ s_tilde_prime == s_tilde_prime and xa_t @ t_tilde_prime == t_tilde_prime
     chain_compatible = (s_tilde_prime @ t_tilde_prime).is_zero() and (
         t_tilde_prime @ s_tilde_prime
     ).is_zero()
@@ -261,9 +257,9 @@ def build_extensions(
     if default and not chain_compatible:
         raise InvariantError("the pseudoinverses of the induced pair do not compose to zero")
     error, kind = (InvariantError, "default") if default else (PreconditionError, "custom")
-    if not _is_generalized_inverse(ind.s_tilde, s_tilde_prime):
+    if ind.s_tilde @ xa_s != ind.s_tilde:
         raise error(f"{kind} s_tilde_prime is not a generalized inverse")
-    if not _is_generalized_inverse(ind.t_tilde, t_tilde_prime):
+    if ind.t_tilde @ xa_t != ind.t_tilde:
         raise error(f"{kind} t_tilde_prime is not a generalized inverse")
     s_prime = lift(s_tilde_prime, ind.q_y, ind.q_x)
     t_prime = lift(t_tilde_prime, ind.q_x, ind.q_y)
@@ -356,6 +352,9 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
     quotient Laplacians equal to a and c) are asserted only for
     chain-compatible bundles, and merely reported otherwise.
     ``block_diagonal`` is shape-determined: [[0, A], [B, 0]]^2 = diag(AB, BA).
+    When the induced maps and the quotient-level inverses equal S, T, S'
+    and T', as for a complex, the quotient Laplacians are the original ones
+    and are not formed again.
     """
     defects, ind = p.defects, p.induced
     if b is None:
@@ -369,8 +368,13 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
     f = v2 - direct_sum(lap_x, lap_y)
     rank_bound = defects.dim_range_st + defects.dim_range_ts
 
-    lap_x_tilde = b.s_tilde_prime @ ind.s_tilde + ind.t_tilde @ b.t_tilde_prime
-    lap_y_tilde = b.t_tilde_prime @ ind.t_tilde + ind.s_tilde @ b.s_tilde_prime
+    tilde_factors = (b.s_tilde_prime, ind.s_tilde, ind.t_tilde, b.t_tilde_prime)
+    if tilde_factors == (b.s_prime, p.s, p.t, b.t_prime):
+        # the quotients changed no factor, so the quotient Laplacians are these
+        lap_x_tilde, lap_y_tilde = lap_x, lap_y
+    else:
+        lap_x_tilde = b.s_tilde_prime @ ind.s_tilde + ind.t_tilde @ b.t_tilde_prime
+        lap_y_tilde = b.t_tilde_prime @ ind.t_tilde + ind.s_tilde @ b.s_tilde_prime
     nullity_x, _, _ = fredholm_data(lap_x_tilde)
     nullity_y, _, _ = fredholm_data(lap_y_tilde)
 

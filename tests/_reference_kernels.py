@@ -6,9 +6,15 @@ integer kernels in ``fredpairs._kernels`` must return the same product, and
 the same pivots and nonzero reduced rows once each row is divided by its
 pivot entry.  The reference keeps the zero rows past the rank, which the
 library's ``rref_rows`` drops.
+
+``pseudoinverse_two_solves`` is the general rank-factorization formula for
+the Moore-Penrose inverse, which ``RatMatrix.pseudoinverse`` applies only to
+matrices of deficient rank; every branch must give the matrix it gives.
 """
 
 from fractions import Fraction
+
+from fredpairs.matrices import _solve
 
 _ZERO = Fraction(0)
 
@@ -60,3 +66,16 @@ def mat_mul(a, b, m, k, n):
             orow.append(acc)
         out.append(orow)
     return out
+
+
+def pseudoinverse_two_solves(a):
+    """The pseudoinverse of a ``RatMatrix`` of any rank and shape, from its full
+    rank factorization A = C R as R^T (R R^T)^-1 (C^T C)^-1 C^T in solve form.
+
+    A zero matrix has empty factors, so the two solves are 0 x 0 and their
+    product is the zero matrix of the transposed shape.
+    """
+    fact = a.rank_factorization()
+    c, r = fact.left, fact.right
+    ct = c.transpose()
+    return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ c, ct)

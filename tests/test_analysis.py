@@ -267,6 +267,58 @@ class TestComputedOnce:
         maps = chain.maps
         assert not any(times(products, a, b) for a, b in zip(maps, maps[1:]))
 
+    def test_theorem_4_4_forms_two_products_per_degree_of_a_complex(self, monkeypatch):
+        # d_1 d_2 = 0 with both maps nonzero: nothing is killed, so each
+        # quotient Laplacian is the original one, formed once
+        chain = ChainInstance.from_json_obj({"dims": [1, 2, 1], "maps": [[[0, 1]], [[1], [0]]]})
+        chain.defects, chain.quotient
+        products = record_operands(monkeypatch, "__matmul__")
+        assert verify_theorem_4_4(chain).passed
+        assert len(products) == 2 * len(chain.dims)
+
+    def test_theorem_4_4_forms_quotient_laplacians_next_to_a_range(self, monkeypatch):
+        # R(d_1 d_2) in X_0 and R(d_2 d_3) in X_1 are nonzero, so degrees 0,
+        # 1 and 2 have a quotient-level factor of their own; degree 3 has none
+        swap, first = [[1, 0, 0], [0, 0, 1], [0, 1, 0]], [[1, 0, 0], [0, 0, 0], [0, 0, 0]]
+        chain = ChainInstance.from_json_obj({"dims": [3, 3, 3, 3], "maps": [swap, first, first]})
+        chain.defects
+        qc = chain.quotient
+        products = record_operands(monkeypatch, "__matmul__")
+        assert verify_theorem_4_4(chain).passed
+        maps_t, inverses_t = qc.maps_tilde, qc.inverses_tilde
+        # d~_3 and d~'_3 are d_3 and d'_3 themselves, so the Laplacian of
+        # degree 2 forms d~_3 d~'_3 twice, once for itself and once for its
+        # quotient Laplacian, and that of degree 3 forms d~'_3 d~_3 once
+        assert maps_t[2] is chain.maps[2] and inverses_t[2] is qc.extended_inverses[2]
+        assert [times(products, d, i) for d, i in zip(maps_t, inverses_t)] == [1, 1, 2]
+        assert [times(products, i, d) for d, i in zip(maps_t, inverses_t)] == [1, 1, 1]
+
+    def test_theorem_3_6_forms_no_quotient_laplacian_of_a_complex(self, monkeypatch):
+        noncomplex = replace(next(p for p in PAIRS if p.range_st.dim or p.range_ts.dim))
+        complex_pair = replace(
+            next(
+                p
+                for p in PAIRS
+                if not (p.range_st.dim or p.range_ts.dim or p.s.is_zero() or p.t.is_zero())
+            )
+        )
+        for pair in (noncomplex, complex_pair):
+            pair.defects, pair.induced, pair.extensions
+        products = record_operands(monkeypatch, "__matmul__")
+        for pair, formed in ((noncomplex, 1), (complex_pair, 0)):
+            products.clear()
+            assert verify_theorem_3_6(pair).passed
+            ind, b = pair.induced, pair.extensions
+            tilde_products = [
+                (b.s_tilde_prime, ind.s_tilde),
+                (ind.t_tilde, b.t_tilde_prime),
+                (b.t_tilde_prime, ind.t_tilde),
+                (ind.s_tilde, b.s_tilde_prime),
+            ]
+            # for the complex these are the factors of lap_x and lap_y, formed once
+            assert [times(products, x, y) for x, y in tilde_products] == [1] * 4
+            assert len(products) == 7 + 4 * formed
+
     def test_chain_compositions_formed_once(self, monkeypatch):
         products = record_operands(monkeypatch, "__matmul__")
         cfg = GenConfig(seed=47, max_dim=6)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fredpairs import PairInstance, RatMatrix, cli, matrices
+from fredpairs import PairInstance, RatMatrix, Subspace, cli, generators, matrices, pairs
 from fredpairs.cli import main
 
 W2 = {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}
@@ -69,7 +69,7 @@ class TestPairReport:
         assert code == 2
         assert out == "" and "dim_x" in err
 
-    @pytest.mark.parametrize("cell", ["1/0", "1/2/3", "x", True, 1.5])
+    @pytest.mark.parametrize("cell", ["1/0", "1/2/3", "x", True, 1.5, "1_0", "+3"])
     def test_bad_entries_rejected(self, tmp_path, capsys, cell):
         obj = {"dim_x": 2, "dim_y": 1, "s": [[1, cell]], "t": [[0], [1]]}
         code, out, err = run(capsys, ["pair-report", write(tmp_path, "bad.json", obj)])
@@ -190,6 +190,55 @@ class TestFuzz:
             obj = json.loads(path.read_text(encoding="utf-8"))
             assert obj == line["instance"]
             assert PairInstance.from_json_obj(obj) == PairInstance.from_json_obj(line["instance"])
+
+    def test_invariant_error_fails_only_its_instance(self, tmp_path, capsys, monkeypatch):
+        # An "induced map" that ignores its quotients leaves S~ T~ = S T, so
+        # every pair that is not a complex raises InvariantError; the
+        # complexes and the chains, which read chains.induced_map, still pass.
+        flags = ["fuzz", "--seed", "5", "--count", "8", "--failures-dir", str(tmp_path / "f")]
+        _, unpatched, _ = run(capsys, flags)
+        monkeypatch.setattr(pairs, "induced_map", lambda a, q_dom, q_cod: a)
+        code, out, err = run(capsys, flags)
+        assert code == 3
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[-1]["summary"] == {
+            "count": 8, "passed": 7, "failed": 1, "errors": 1, "seed": 5
+        }
+        errored = [line for line in lines[:-1] if "error" in line]
+        assert [line["ordinal"] for line in errored] == [4]
+        assert errored[0]["error"] == "the induced pair is not a complex"
+        assert errored[0]["passed"] is False and "reports" not in errored[0]
+        assert err == "invariant failed in instance 4: the induced pair is not a complex\n"
+        # every other line is as before, and the errored line has the same instance
+        expected = unpatched.splitlines()
+        for got, want in zip(out.splitlines()[:-1], expected):
+            if "error" in json.loads(got):
+                assert json.loads(got)["instance"] == json.loads(want)["instance"]
+            else:
+                assert got == want
+        written = [p.name for p in (tmp_path / "f").iterdir()]
+        assert written == ["instance_5_4.json"]
+
+    def test_generator_invariant_error_has_no_instance(self, tmp_path, capsys, monkeypatch):
+        # With a kernel basis that spans everything, the complex-only
+        # generators overrun their budgets from ordinal 3 on.
+        monkeypatch.setattr(generators, "kernel_basis", lambda a: Subspace.full(a.cols))
+        failures = tmp_path / "f"
+        code, out, err = run(
+            capsys,
+            ["fuzz", "--seed", "0", "--count", "6", "--max-dim", "4", "--rank-budget", "0",
+             "--complex-only", "--failures-dir", str(failures)],
+        )
+        assert code == 3
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[-1]["summary"] == {
+            "count": 6, "passed": 3, "failed": 3, "errors": 3, "seed": 0
+        }
+        for line in lines[3:-1]:
+            assert set(line) == {"ordinal", "kind", "seed", "error", "passed"}
+            assert "over the budget" in line["error"] and line["passed"] is False
+        assert err.count("invariant failed in instance") == 3
+        assert not failures.exists()
 
     def test_empty_run(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--count", "0"])

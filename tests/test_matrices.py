@@ -1,5 +1,6 @@
 from fractions import Fraction
 import itertools
+import re
 from math import gcd
 
 import pytest
@@ -199,6 +200,16 @@ def test_splitmix_reference_values():
     assert rng.next_u64() == 3203168211198807973
 
 
+def test_refuses_attribute_assignment():
+    # the package fills a matrix and its caches through the slot setters;
+    # every assignment from outside is refused
+    m = mat([[1, 2], ["1/2", 1]])
+    for name in ("rows", "cols", "num", "den", "_rref", "_hash", "other"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    assert m.rref() is m.rref() and hash(m) == hash(mat([[2, 4], [1, 2]]).scale("1/2"))
+
+
 # -- representation: integer rows over one canonical denominator --------
 
 scalars = st.one_of(
@@ -246,6 +257,63 @@ def plain_inverse(entries):
     rows, pivots = reference.rref_rows(aug, 2 * n)
     assert pivots == list(range(n))
     return [row[n:] for row in rows]
+
+
+# One or more matrices for each branch of RatMatrix.pseudoinverse.
+PINV_BRANCHES = {
+    "zero": [RatMatrix.zero(r, c) for r, c in ((2, 3), (0, 3), (3, 0), (0, 0))],
+    "full_column_rank": [mat([[1, 0], [1, 1], [0, 1]]), mat([["1/2"], [3], ["-2/7"]])],
+    "full_row_rank": [mat([[1, 2, 0], [0, 1, 1]]), mat([[0, "5/3", 0, 1]])],
+    "square_invertible": [mat([[2, 1], [1, 1]]), mat([[0, 1, 0], [0, 0, "1/2"], [3, 0, 0]])],
+    "rank_deficient": [
+        mat([[1, 2], [2, 4]]),
+        mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]]),
+        mat([[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]]),
+    ],
+}
+
+
+def pinv_branch(a):
+    rank = a.rank
+    if not rank:
+        return "zero"
+    if rank == a.rows == a.cols:
+        return "square_invertible"
+    if rank == a.cols:
+        return "full_column_rank"
+    if rank == a.rows:
+        return "full_row_rank"
+    return "rank_deficient"
+
+
+class TestPseudoinverseBranches:
+    """Every branch gives what the general two-solve formula gives."""
+
+    CASES = [(branch, a) for branch, cases in PINV_BRANCHES.items() for a in cases]
+
+    @pytest.mark.parametrize(
+        "branch, a", CASES, ids=[f"{branch}-{a.rows}x{a.cols}" for branch, a in CASES]
+    )
+    def test_explicit_cases(self, monkeypatch, branch, a):
+        assert pinv_branch(a) == branch
+        expected = reference.pseudoinverse_two_solves(a)
+        if branch != "rank_deficient":
+            # the shortcuts never factor A
+            def refuse(self):
+                raise AssertionError("a full-rank or zero matrix was factored")
+
+            monkeypatch.setattr(RatMatrix, "rank_factorization", refuse)
+        got = a.pseudoinverse()
+        assert canonical(got)
+        assert got == expected
+        assert penrose_identities_hold(a, got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(rat_matrices())
+    def test_matches_two_solves(self, a):
+        got = a.pseudoinverse()
+        assert canonical(got)
+        assert got == reference.pseudoinverse_two_solves(a)
 
 
 class TestRepresentation:
@@ -450,7 +518,28 @@ class TestParse:
         assert canonical(parsed)
         assert parsed == RatMatrix(1, 1, [[Fraction(*map(int, cell.split("/")))]])
 
-    @pytest.mark.parametrize("cell", ["1/0", "1/2/3", "x", "", True, 1.5, None, [1]])
+    # int() alone would read "1_0" as 10, " 2 / 3 " as 2/3, and "\u0663", an
+    # Arabic-Indic digit, as 3; only ASCII digits with an optional "-" pass.
+    @pytest.mark.parametrize(
+        "cell",
+        ["1/0", "1/2/3", "x", "", True, 1.5, None, [1], "1_0", " 2 / 3 ", "+3", "\u0663", "1/+2"],
+    )
     def test_rejections(self, cell):
         with pytest.raises(InputError):
             RatMatrix.from_json_obj([[cell]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="01-/+_ \t\n\x1c٣x", max_size=7))
+    def test_grammar(self, text):
+        # a string parses exactly when it is -?[0-9]+(/-?[0-9]+)? with a
+        # nonzero denominator, in the JSON reader and the constructor alike
+        match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", text)
+        if match and int(match[2] or 1):
+            value = Fraction(int(match[1]), int(match[2] or 1))
+            parsed = RatMatrix.from_json_obj([[text]])
+            assert parsed == RatMatrix(1, 1, [[text]]) == mat([[value]])
+        else:
+            with pytest.raises(InputError):
+                RatMatrix.from_json_obj([[text]])
+            with pytest.raises(InputError):
+                RatMatrix(1, 1, [[text]])

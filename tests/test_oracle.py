@@ -8,7 +8,7 @@ pseudoinverse and the integer row reduction independently of this package.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 sympy = pytest.importorskip("sympy")
@@ -44,8 +44,19 @@ def grid_of(m) -> tuple:
     )
 
 
+# one or more matrices for each branch of RatMatrix.pseudoinverse: zero
+# (with the empty shapes), full column rank, full row rank, square
+# invertible and rank deficient
 @settings(max_examples=120, deadline=None)
 @given(matrices())
+@example(RatMatrix.zero(2, 3))
+@example(RatMatrix.zero(0, 3))
+@example(RatMatrix.zero(3, 0))
+@example(RatMatrix.from_rows([[1, 0], [1, 1], [0, 1]]))
+@example(RatMatrix.from_rows([[1, 2, 0], [0, 1, 1]]))
+@example(RatMatrix.from_rows([[2, 1], [1, 1]]))
+@example(RatMatrix.from_rows([[1, 2], [2, 4]]))
+@example(RatMatrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]]))
 def test_pseudoinverse_matches_sympy(a):
     assert a.pseudoinverse().entries == grid_of(to_sympy(a).pinv())
 
