@@ -27,7 +27,7 @@ from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
 from .matrices import RatMatrix, direct_sum
-from .pairs import InducedPair, PairInstance, TheoremReport, fredholm_data
+from .pairs import InducedPair, PairInstance, TheoremReport, fredholm_data, laplacians
 from .subspaces import (
     QuotientStructure,
     Subspace,
@@ -408,10 +408,10 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
     At quotient level the Laplacian has nullity a_p and index 0; the original
     Laplacian differs from the lift of the quotient one by a matrix of rank at
     most dim R(d_{p+1} d_{p+2}) + dim R(d_p d_{p+1}).  ``zero_index_p`` is
-    shape-determined, since every Laplacian is square.  Where the four
-    quotient-level factors equal the original ones, as at every degree of a
-    complex, the quotient Laplacian is the original one and is not formed
-    again; it is still lifted and subtracted."""
+    shape-determined, since every Laplacian is square.  Both Laplacians of a
+    degree come from ``laplacians``, which reuses the original one where the
+    quotients changed no factor, as at every degree of a complex; it is
+    still lifted and subtracted."""
     defects, qc = c.defects, c.quotient
     q_dims = [q.quotient_dim for q in qc.quotients]
     down, up = _down(c.maps, c.dims), _up(qc.extended_inverses, c.dims)
@@ -419,12 +419,10 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
     checks = {}
     degree_details = []
     for p in range(c.top_degree + 1):
-        lap = down[p + 1] @ up[p + 1] + up[p] @ down[p]
-        factors = (down[p + 1], up[p + 1], up[p], down[p])
-        if (down_t[p + 1], up_t[p + 1], up_t[p], down_t[p]) == factors:
-            lap_tilde = lap  # the quotients changed no factor
-        else:
-            lap_tilde = down_t[p + 1] @ up_t[p + 1] + up_t[p] @ down_t[p]
+        lap, lap_tilde = laplacians(
+            (down[p + 1], up[p + 1], up[p], down[p]),
+            (down_t[p + 1], up_t[p + 1], up_t[p], down_t[p]),
+        )
         nullity, corank, index = fredholm_data(lap)
         nullity_t, _, index_t = fredholm_data(lap_tilde)
         q = qc.quotients[p]

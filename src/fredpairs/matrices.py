@@ -5,8 +5,12 @@ denominator ``den``, in canonical form: ``gcd(den, every entry of num) == 1``.
 The pair is then unique, so equality and hashing compare it directly, and the
 kernels and every operation run on Python ints with no tolerance anywhere.
 ``fractions.Fraction`` values are built only where the public API hands
-entries out (``entries``, ``row``, ``col``, indexing, JSON).  A linear map
+entries out (``entries``, ``row``, indexing, JSON).  A linear map
 ``A: Q^n -> Q^m`` is stored as an m x n matrix acting on column vectors.
+
+One reader, ``_scalar``, takes every entry in: the constructor's, the JSON
+reader's (after its inline fast path for strings) and ``scale``'s factor.
+So the constructor and JSON refuse the same values, a bool among them.
 
 Rows are lists, and no code mutates a row it did not just allocate: matrices
 share rows freely (a zero matrix repeats one row, a reduced matrix may reuse
@@ -24,16 +28,17 @@ from ._kernels import mat_mul, rref_rows
 from .errors import DimensionError, InputError
 
 def _scalar(value) -> tuple[int, int]:
-    """An int, ``"p/q"`` string or Fraction as ``(n, d)`` in lowest terms, d > 0."""
+    """An int, ``"p/q"`` string or Fraction as ``(n, d)`` in lowest terms, d > 0.
+
+    The int test is by exact type, so a bool, an int subclass, is refused.
+    """
     if type(value) is int:
         return value, 1
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    if isinstance(value, int):
-        return int(value), 1
     if isinstance(value, str):
         return _parse_rat_string(value)
-    raise InputError(f"not a rational scalar: {value!r}")
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise InputError(f"not an integer, 'p/q' string or Fraction: {value!r}")
 
 
 def _parse_rat_string(text: str) -> tuple[int, int]:
@@ -117,7 +122,7 @@ class RankFactorization:
 class RatMatrix:
     """Immutable dense rational matrix: integer rows ``num`` over ``den``."""
 
-    __slots__ = ("rows", "cols", "num", "den", "_rref", "_hash")
+    __slots__ = ("rows", "cols", "num", "den", "_rref")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable]):
         grid = [[_scalar(e) for e in row] for row in entries]
@@ -187,10 +192,6 @@ class RatMatrix:
         den = self.den
         return tuple(Fraction(x, den) for x in self.num[i])
 
-    def col(self, j: int) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(row[j], den) for row in self.num)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented
@@ -202,11 +203,7 @@ class RatMatrix:
         )
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.rows, self.cols, self.den, tuple(map(tuple, self.num))))
-            _set_hash(self, h)
-        return h
+        return hash((self.rows, self.cols, self.den, tuple(map(tuple, self.num))))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in row) for row in self.entries)
@@ -238,10 +235,6 @@ class RatMatrix:
             for r1, r2 in zip(_rescaled(self, den), _rescaled(other, den))
         ]
         return RatMatrix._canonical(self.rows, self.cols, num, den)
-
-    def __neg__(self) -> "RatMatrix":
-        num = [[-x for x in row] for row in self.num]
-        return RatMatrix._raw(self.rows, self.cols, num, self.den)
 
     def scale(self, factor) -> "RatMatrix":
         fn, fd = _scalar(factor)
@@ -351,7 +344,7 @@ class RatMatrix:
 
         Shape hints, when given, are enforced; without them an empty list is
         read as a 0 x 0 matrix.  Entries go straight to integers over one
-        denominator.
+        denominator, read by the constructor's rules.
         """
         if not isinstance(obj, list) or any(not isinstance(row, list) for row in obj):
             raise InputError("matrix JSON must be a list of rows")
@@ -363,13 +356,13 @@ class RatMatrix:
             raise InputError(f"matrix JSON does not have shape {rows}x{cols}")
         # a string entry goes straight to its parser, one call fewer
         grid = [
-            [_parse_rat_string(e) if type(e) is str else _json_scalar(e) for e in row]
+            [_parse_rat_string(e) if type(e) is str else _scalar(e) for e in row]
             for row in obj
         ]
         return cls._raw(rows, cols, *_over_common_den(grid))
 
 
-# The slot descriptors' own setters fill a new matrix and its caches, since
+# The slot descriptors' own setters fill a new matrix and its rref cache, since
 # RatMatrix.__setattr__ refuses every assignment; they cost less than
 # object.__setattr__, which looks each name up again.
 _new = object.__new__
@@ -378,7 +371,6 @@ _set_cols = RatMatrix.cols.__set__
 _set_num = RatMatrix.num.__set__
 _set_den = RatMatrix.den.__set__
 _set_rref = RatMatrix._rref.__set__
-_set_hash = RatMatrix._hash.__set__
 
 
 def _fill(m: RatMatrix, rows: int, cols: int, num: list[list[int]], den: int):
@@ -387,7 +379,6 @@ def _fill(m: RatMatrix, rows: int, cols: int, num: list[list[int]], den: int):
     _set_num(m, num)
     _set_den(m, den)
     _set_rref(m, None)
-    _set_hash(m, None)
 
 
 def _solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -406,14 +397,6 @@ def _solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         raise DimensionError("matrix is singular")
     red = result.reduced
     return RatMatrix._raw(n, b.cols, [row[n:] for row in red.num], red.den)
-
-
-def _json_scalar(value) -> tuple[int, int]:
-    if type(value) is int:
-        return value, 1
-    if isinstance(value, str):
-        return _parse_rat_string(value)
-    raise InputError(f"matrix entries must be integers or 'p/q' strings: {value!r}")
 
 
 # -- stacking and block assembly --------------------------------------

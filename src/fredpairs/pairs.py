@@ -192,6 +192,26 @@ def fredholm_data(a: RatMatrix) -> tuple[int, int, int]:
     return nullity, corank, nullity - corank
 
 
+def laplacians(
+    factors: tuple[RatMatrix, ...], tilde_factors: tuple[RatMatrix, ...]
+) -> tuple[RatMatrix, RatMatrix]:
+    """The Laplacian d d' + e' e of ``factors`` = (d, d', e', e), and that of
+    the quotient-level ``tilde_factors`` = (d~, d~', e~', e~).
+
+    When the four quotient-level factors equal the original ones, as for a
+    complex, the quotients changed nothing and the quotient Laplacian is the
+    original one, returned without being formed again.  Factors are compared
+    by equality, so equal factors built apart, such as a chain's padded zero
+    maps, count as unchanged.
+    """
+    d, d_prime, e_prime, e = factors
+    lap = d @ d_prime + e_prime @ e
+    if tilde_factors == factors:
+        return lap, lap
+    d, d_prime, e_prime, e = tilde_factors
+    return lap, d @ d_prime + e_prime @ e
+
+
 # -- quotient pair and inverses ---------------------------------------
 
 
@@ -352,9 +372,8 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
     quotient Laplacians equal to a and c) are asserted only for
     chain-compatible bundles, and merely reported otherwise.
     ``block_diagonal`` is shape-determined: [[0, A], [B, 0]]^2 = diag(AB, BA).
-    When the induced maps and the quotient-level inverses equal S, T, S'
-    and T', as for a complex, the quotient Laplacians are the original ones
-    and are not formed again.
+    Each Laplacian and its quotient-level sibling come from ``laplacians``:
+    on X, T T' + S' S; on Y, S S' + T' T.
     """
     defects, ind = p.defects, p.induced
     if b is None:
@@ -363,18 +382,17 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
     v2 = v @ v
     block_diagonal = v2 == direct_sum(b.t_plus @ b.s_plus, b.s_plus @ b.t_plus)
 
-    lap_x = b.s_prime @ p.s + p.t @ b.t_prime
-    lap_y = b.t_prime @ p.t + p.s @ b.s_prime
+    lap_x, lap_x_tilde = laplacians(
+        (p.t, b.t_prime, b.s_prime, p.s),
+        (ind.t_tilde, b.t_tilde_prime, b.s_tilde_prime, ind.s_tilde),
+    )
+    lap_y, lap_y_tilde = laplacians(
+        (p.s, b.s_prime, b.t_prime, p.t),
+        (ind.s_tilde, b.s_tilde_prime, b.t_tilde_prime, ind.t_tilde),
+    )
     f = v2 - direct_sum(lap_x, lap_y)
     rank_bound = defects.dim_range_st + defects.dim_range_ts
 
-    tilde_factors = (b.s_tilde_prime, ind.s_tilde, ind.t_tilde, b.t_tilde_prime)
-    if tilde_factors == (b.s_prime, p.s, p.t, b.t_prime):
-        # the quotients changed no factor, so the quotient Laplacians are these
-        lap_x_tilde, lap_y_tilde = lap_x, lap_y
-    else:
-        lap_x_tilde = b.s_tilde_prime @ ind.s_tilde + ind.t_tilde @ b.t_tilde_prime
-        lap_y_tilde = b.t_tilde_prime @ ind.t_tilde + ind.s_tilde @ b.s_tilde_prime
     nullity_x, _, _ = fredholm_data(lap_x_tilde)
     nullity_y, _, _ = fredholm_data(lap_y_tilde)
 

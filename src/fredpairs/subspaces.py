@@ -18,11 +18,10 @@ rows that are counted.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DimensionError, InvariantError, PreconditionError
-from .matrices import RatMatrix, _solve, block, vstack
+from .matrices import RatMatrix, _solve, vstack
 
 
 @dataclass(frozen=True)
@@ -61,24 +60,13 @@ class Subspace:
         return Subspace.spanned_by(vstack(self.basis, other.basis))
 
     def __and__(self, other: "Subspace") -> "Subspace":
-        """Intersection by Zassenhaus' sum-intersection elimination.
+        """The intersection, as the orthogonal complement of the sum of the
+        two complements: U & V = (U^o + V^o)^o.
 
-        The rows of [[U, U], [V, 0]] span pairs (u + v, u); the reduced rows
-        whose left half vanishes, those pivoting in column n or later, carry
-        exactly the u in U & V.  Their right halves are already reduced
-        echelon rows, so they are the canonical basis with no second rref;
-        only their common denominator may shrink.
+        The package counts every meet it reports by Grassmann's formula in
+        ``defect_numbers``; this one is for callers that need the subspace.
         """
-        self._require_same_ambient(other)
-        n = self.ambient_dim
-        if not self.dim or not other.dim:
-            return Subspace.zero(n)
-        u, v = self.basis, other.basis
-        result = block([[u, u], [v, RatMatrix.zero(v.rows, n)]]).rref()
-        first = bisect_left(result.pivot_columns, n)
-        red = result.reduced
-        rows = [row[n:] for row in red.num[first:]]
-        return Subspace(RatMatrix._canonical(len(rows), n, rows, red.den))
+        return orthogonal_complement(orthogonal_complement(self) + orthogonal_complement(other))
 
     def contains(self, other: "Subspace") -> bool:
         self._require_same_ambient(other)

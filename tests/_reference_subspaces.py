@@ -1,8 +1,9 @@
 """Reference subspace constructions that the tests use as oracles.
 
-``meet`` is the formula through orthogonal complements,
-U & V = (U^o + V^o)^o, which ``Subspace.__and__`` computed before it used
-Zassenhaus' elimination; both must return the identical canonical subspace.
+``zassenhaus_meet`` intersects by Zassenhaus' sum-intersection elimination,
+an algorithm that shares no step with ``Subspace.__and__``, which takes the
+orthogonal complement of the sum of the complements; both must return the
+identical canonical subspace.
 ``stacked_defect_numbers`` counts the defects as ``defect_numbers`` did
 before it eliminated by the null rows: from the rank of the stack of the
 null rows of A and the pivot columns of B.
@@ -11,15 +12,33 @@ the tests state the paper's transport identities; the package itself never
 needs them.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from fredpairs import DimensionError, PreconditionError, RatMatrix, Subspace
+from fredpairs import DimensionError, PreconditionError, RatMatrix, Subspace, block
 from fredpairs import orthogonal_complement
 from fredpairs.subspaces import _null_rows
 
 
-def meet(u, v):
-    return orthogonal_complement(orthogonal_complement(u) + orthogonal_complement(v))
+def zassenhaus_meet(u: Subspace, v: Subspace) -> Subspace:
+    """U & V by Zassenhaus' elimination.
+
+    The rows of [[U, U], [V, 0]] span pairs (u + v, u); the reduced rows
+    whose left half vanishes, those pivoting in column n or later, carry
+    exactly the u in U & V.  Their right halves are already reduced echelon
+    rows, so they are the canonical basis with no second rref; only their
+    common denominator may shrink.
+    """
+    if u.ambient_dim != v.ambient_dim:
+        raise DimensionError(f"ambient mismatch: {u.ambient_dim} vs {v.ambient_dim}")
+    n = u.ambient_dim
+    if not u.dim or not v.dim:
+        return Subspace.zero(n)
+    result = block([[u.basis, u.basis], [v.basis, RatMatrix.zero(v.dim, n)]]).rref()
+    first = bisect_left(result.pivot_columns, n)
+    red = result.reduced
+    rows = [row[n:] for row in red.num[first:]]
+    return Subspace(RatMatrix._canonical(len(rows), n, rows, red.den))
 
 
 def stacked_defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:

@@ -122,7 +122,7 @@ class TestDefectNumbers:
     @settings(max_examples=200, deadline=None)
     @given(composable_maps())
     def test_matches_the_meet(self, maps_ab):
-        # Zassenhaus' meet of the canonical subspaces is the oracle.
+        # The package's meet of the canonical subspaces is the oracle.
         a, b = maps_ab
         n, r = kernel_basis(a), image_basis(b)
         meet = (n & r).dim
@@ -203,10 +203,10 @@ class TestLattice:
 
     @settings(max_examples=150, deadline=None)
     @given(subspace_pairs())
-    def test_meet_matches_the_complement_formula(self, pair):
+    def test_meet_matches_zassenhaus(self, pair):
         u, v = pair
         meet = u & v
-        assert meet == reference.meet(u, v)
+        assert meet == reference.zassenhaus_meet(u, v)
         assert meet.dim == u.dim + v.dim - (u + v).dim
         assert u.contains(meet) and v.contains(meet)
 
