@@ -5,7 +5,10 @@ A chain is a finite sequence of spaces X_0..X_n with maps d_p: X_p -> X_{p-1}
 for p = 1..n.  Consecutive compositions need not vanish (chains are more
 general than complexes).  Every family of maps between neighbouring degrees
 is padded once, by ``_down`` or ``_up``, to the members 0..n+1, with a zero
-map out of or into the zero space at either end.
+map out of or into the zero space at either end.  The composition ranges
+R(d_{p+1} d_{p+2}) are those of the padded d_0..d_{n+1}, one for every
+degree p = 0..n and zero at the two top degrees, and the quotient chain
+kills exactly them.
 
 The folded pair (remark 2.3) puts the even degrees into X and the odd ones
 into Y in ascending order.  In that layout a map between the two parities is
@@ -27,10 +30,18 @@ from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
 from .matrices import RatMatrix, direct_sum
-from .pairs import InducedPair, PairInstance, TheoremReport, fredholm_data, laplacians
+from .pairs import (
+    InducedPair,
+    PairInstance,
+    TheoremReport,
+    _is_dimension,
+    fredholm_data,
+    laplacians,
+)
 from .subspaces import (
     QuotientStructure,
     Subspace,
+    composes_to_zero,
     defect_numbers,
     image_basis,
     induced_map,
@@ -64,8 +75,8 @@ class ChainInstance:
         object.__setattr__(self, "maps", tuple(self.maps))
         if len(self.maps) != len(self.dims) - 1:
             raise DimensionError("a chain on X_0..X_n needs exactly n maps")
-        if any(d < 0 for d in self.dims):
-            raise DimensionError("dimensions must be nonnegative")
+        if not all(map(_is_dimension, self.dims)):
+            raise DimensionError("dimensions must be nonnegative integers")
         for p, m in enumerate(self.maps, start=1):
             if m.shape != (self.dims[p - 1], self.dims[p]):
                 raise DimensionError(
@@ -80,11 +91,11 @@ class ChainInstance:
 
     @_shared_cached_property
     def composition_ranges(self) -> tuple[Subspace, ...]:
-        """R(d_{p+1} d_{p+2}), a subspace of X_p, for p = 0..n-2.
-
-        The two top degrees have no such composition, so none is formed.
-        """
-        return tuple(image_basis(a @ b) for a, b in zip(self.maps, self.maps[1:]))
+        """R(d_{p+1} d_{p+2}) in X_p for every degree p = 0..n, from the padded
+        d_0..d_{n+1}: what the quotient chain kills.  At the two top degrees a
+        factor is a map out of the zero space, so no product is formed."""
+        ranges = tuple(image_basis(a @ b) for a, b in zip(self.maps, self.maps[1:]))
+        return ranges + tuple(Subspace.zero(d) for d in self.dims[len(ranges) :])
 
     @_shared_cached_property
     def quotient(self) -> "QuotientChain":
@@ -116,12 +127,6 @@ class ChainInstance:
         """The alternating sum of the dimensions, dim X_0 - dim X_1 + ..."""
         return sum(d if p % 2 == 0 else -d for p, d in enumerate(self.dims))
 
-    def delta(self, p: int) -> RatMatrix:
-        """d_p as padded by ``_down`` for p = 0..n+1, and the zero map
-        between zero spaces beyond."""
-        down = _down(self.maps, self.dims)
-        return down[p] if 0 <= p < len(down) else RatMatrix.zero(0, 0)
-
     def to_json_obj(self) -> dict:
         return {"dims": list(self.dims), "maps": [m.to_json_obj() for m in self.maps]}
 
@@ -133,11 +138,7 @@ class ChainInstance:
             dims, maps = obj["dims"], obj["maps"]
         except KeyError as exc:
             raise InputError(f"chain JSON is missing key {exc}") from None
-        if (
-            not isinstance(dims, list)
-            or not dims
-            or any(type(d) is not int or d < 0 for d in dims)  # rejects JSON true, a bool
-        ):
+        if not isinstance(dims, list) or not dims or not all(map(_is_dimension, dims)):
             raise InputError("dims must be a nonempty list of nonnegative integers")
         if not isinstance(maps, list) or len(maps) != len(dims) - 1:
             raise InputError("maps must list exactly one matrix per consecutive degree")
@@ -170,18 +171,10 @@ def _fold(family) -> tuple[RatMatrix, RatMatrix]:
     targets, so its first fold maps the odd degrees to the even ones.  Either
     way the blocks follow the ascending order of the degrees, which is the
     layout of the folded pair.  A family indexed by the degrees 0..n, such
-    as the bases of what each degree kills or the projections of its
-    quotient, folds the same way.
+    as the bases of the composition ranges or the projections of the
+    quotients, folds the same way.
     """
     return direct_sum(*family[0::2]), direct_sum(*family[1::2])
-
-
-def _killed(c: ChainInstance) -> tuple[Subspace, ...]:
-    """What the quotient chain kills in each degree p = 0..n: the composition
-    range R(d_{p+1} d_{p+2}), and the zero subspace at the two top degrees,
-    which have no such composition."""
-    ranges = c.composition_ranges
-    return ranges + tuple(Subspace.zero(d) for d in c.dims[len(ranges) :])
 
 
 @dataclass(frozen=True)
@@ -238,8 +231,8 @@ class FoldedPair(PairInstance):
 
     S and T are the folds of the padded d_0..d_{n+1}, so T S maps X_{p+2}
     into X_p for even p and S T does so for odd p: R(TS) and R(ST) are the
-    folds of the chain's killed subspaces, R(d_{p+1} d_{p+2}) at p = 0..n-2
-    and zero at the two top degrees.  rref and the orthogonal complement of a
+    folds of the chain's composition ranges R(d_{p+1} d_{p+2}), p = 0..n,
+    zero at the two top degrees.  rref and the orthogonal complement of a
     block-diagonal basis are block diagonal, so the quotients X/R(TS) and
     Y/R(ST) are the folds of the chain's per-degree quotients (a fold of
     identity quotients is the identity quotient), and S~, T~ the fold of its
@@ -256,7 +249,7 @@ class FoldedPair(PairInstance):
     chain: ChainInstance = field(compare=False, repr=False)
 
     def _folded_range(self, parity: int) -> Subspace:
-        return Subspace(_fold([k.basis for k in _killed(self.chain)])[parity])
+        return Subspace(_fold([r.basis for r in self.chain.composition_ranges])[parity])
 
     @cached_property
     def range_st(self) -> Subspace:
@@ -337,7 +330,7 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     ranges = c.composition_ranges
-    quotients = tuple(quotient(d, k) for d, k in zip(c.dims, _killed(c)))
+    quotients = tuple(quotient(d, r) for d, r in zip(c.dims, ranges))
     try:
         maps_tilde = tuple(
             induced_map(d, q_dom, q_cod)
@@ -347,13 +340,9 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
         raise InvariantError(f"the induced chain: {exc}") from exc
     inverses_tilde = tuple(m.pseudoinverse() for m in maps_tilde)
     for i in range(len(maps_tilde) - 1):
-        if maps_tilde[i] is c.maps[i] and maps_tilde[i + 1] is c.maps[i + 1]:
-            # both maps passed through unchanged, so their product is
-            # d_{i+1} d_{i+2}, whose range the chain already holds
-            composes_to_zero = not ranges[i].dim
-        else:
-            composes_to_zero = (maps_tilde[i] @ maps_tilde[i + 1]).is_zero()
-        if not composes_to_zero:
+        if not composes_to_zero(
+            maps_tilde[i], maps_tilde[i + 1], c.maps[i], c.maps[i + 1], ranges[i]
+        ):
             raise InvariantError(f"induced maps {i + 1} and {i + 2} do not compose to zero")
         if not (inverses_tilde[i + 1] @ inverses_tilde[i]).is_zero():
             raise InvariantError(f"inverses {i + 2} and {i + 1} do not compose to zero")

@@ -188,10 +188,6 @@ class RatMatrix:
         i, j = key
         return Fraction(self.num[i][j], self.den)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        den = self.den
-        return tuple(Fraction(x, den) for x in self.num[i])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatMatrix):
             return NotImplemented

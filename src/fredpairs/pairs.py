@@ -16,12 +16,19 @@ from .matrices import RatMatrix, block, direct_sum
 from .subspaces import (
     QuotientStructure,
     Subspace,
+    composes_to_zero,
     defect_numbers,
     image_basis,
     induced_map,
     lift,
     quotient,
 )
+
+
+def _is_dimension(d) -> bool:
+    """Whether ``d`` is a dimension: a nonnegative int.  bool is a subclass of
+    int, but True is not a dimension, so the type is tested exactly."""
+    return type(d) is int and d >= 0
 
 
 @dataclass(frozen=True)
@@ -32,6 +39,8 @@ class PairInstance:
     t: RatMatrix  # dim_x x dim_y
 
     def __post_init__(self):
+        if not (_is_dimension(self.dim_x) and _is_dimension(self.dim_y)):
+            raise DimensionError("dim_x and dim_y must be nonnegative integers")
         if self.s.shape != (self.dim_y, self.dim_x):
             raise DimensionError(f"S must be {self.dim_y}x{self.dim_x}, got {self.s.shape}")
         if self.t.shape != (self.dim_x, self.dim_y):
@@ -81,8 +90,7 @@ class PairInstance:
             s_obj, t_obj = obj["s"], obj["t"]
         except KeyError as exc:
             raise InputError(f"pair JSON is missing key {exc}") from None
-        # bool is a subclass of int, but a JSON true is not a dimension
-        if any(type(d) is not int or d < 0 for d in (dim_x, dim_y)):
+        if not (_is_dimension(dim_x) and _is_dimension(dim_y)):
             raise InputError("dim_x and dim_y must be nonnegative integers")
         s = RatMatrix.from_json_obj(s_obj, rows=dim_y, cols=dim_x)
         t = RatMatrix.from_json_obj(t_obj, rows=dim_x, cols=dim_y)
@@ -148,14 +156,10 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
     def to_json_obj(self) -> dict:
-        encoded = {}
-        for key, value in self.details.items():
-            if isinstance(value, RatMatrix):
-                encoded[key] = value.to_json_obj()
-            elif isinstance(value, (list, tuple)):
-                encoded[key] = list(value)
-            else:
-                encoded[key] = value
+        encoded = {
+            key: value.to_json_obj() if isinstance(value, RatMatrix) else value
+            for key, value in self.details.items()
+        }
         return {"name": self.name, "passed": self.passed, "details": encoded}
 
 
@@ -231,13 +235,10 @@ def induced_pair(p: PairInstance) -> InducedPair:
         t_tilde = induced_map(p.t, q_y, q_x)
     except PreconditionError as exc:
         raise InvariantError(f"the induced pair: {exc}") from exc
-    if s_tilde is p.s and t_tilde is p.t:
-        # both maps passed through unchanged, so S~T~ and T~S~ are ST and TS,
-        # whose ranges the pair already holds
-        is_complex = not (p.range_st.dim or p.range_ts.dim)
-    else:
-        is_complex = (s_tilde @ t_tilde).is_zero() and (t_tilde @ s_tilde).is_zero()
-    if not is_complex:
+    if not (
+        composes_to_zero(s_tilde, t_tilde, p.s, p.t, p.range_st)
+        and composes_to_zero(t_tilde, s_tilde, p.t, p.s, p.range_ts)
+    ):
         raise InvariantError("the induced pair is not a complex")
     return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
 

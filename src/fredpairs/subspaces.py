@@ -220,6 +220,20 @@ def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure
     return a_tilde
 
 
+def composes_to_zero(
+    a_tilde: RatMatrix, b_tilde: RatMatrix, a: RatMatrix, b: RatMatrix, range_ab: Subspace
+) -> bool:
+    """Whether A~ B~ = 0, for A~ and B~ induced by ``induced_map`` from A and
+    B, where ``range_ab`` is R(AB).
+
+    When both maps passed through unchanged, A~ B~ is A B, so R(AB) answers
+    without a product; otherwise A~ B~ is formed.
+    """
+    if a_tilde is a and b_tilde is b:
+        return not range_ab.dim
+    return (a_tilde @ b_tilde).is_zero()
+
+
 def lift(m: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> RatMatrix:
     """Lift a map between the quotients to section_cod @ m @ projection_dom.
 

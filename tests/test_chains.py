@@ -63,11 +63,20 @@ class TestChainInstance:
         with pytest.raises(DimensionError):
             ChainInstance((1, 1), ())
 
+    @pytest.mark.parametrize("bad", [True, -1])
+    def test_dimension_must_be_a_nonnegative_int(self, bad):
+        # True == 1, so a 1 x 1 map would fit its shape
+        z = RatMatrix.zero(1, 1)
+        with pytest.raises(DimensionError):
+            ChainInstance((bad, 1), (z,))
+        with pytest.raises(DimensionError):
+            ChainInstance((1, bad), (z,))
+
     def test_boundary_deltas_are_zero(self):
         c = exact_complex()
-        assert c.delta(0).shape == (0, 1)
-        assert c.delta(3).shape == (1, 0)
-        assert c.delta(7).shape == (0, 0)
+        down = chains._down(c.maps, c.dims)
+        assert down[0].shape == (0, 1)
+        assert down[3].shape == (1, 0)
 
     def test_is_complex(self):
         assert not any(r.dim for r in exact_complex().composition_ranges)
@@ -160,8 +169,9 @@ class TestQuotientChain:
     def test_extended_inverse_vanishes_on_killed(self):
         for c in random_chains(seed=113, count=10):
             qc = quotient_chain(c)
+            down = chains._down(c.maps, c.dims)
             for p in range(1, c.top_degree + 1):
-                comp = c.delta(p) @ c.delta(p + 1)
+                comp = down[p] @ down[p + 1]
                 assert (qc.extended_inverses[p - 1] @ comp).is_zero()
 
     def test_folding_consistency(self):
@@ -247,7 +257,6 @@ class TestReferenceFold:
         down = chains._down(c.maps, c.dims)
         assert len(down) == n + 2 and down[1 : n + 1] == c.maps
         assert down[0].shape == (0, c.dims[0]) and down[n + 1].shape == (c.dims[n], 0)
-        assert all(c.delta(p) == down[p] for p in range(n + 2))
         up = chains._up(c.quotient.extended_inverses, c.dims)
         assert len(up) == n + 2 and up[1 : n + 1] == c.quotient.extended_inverses
         assert up[0].shape == (c.dims[0], 0) and up[n + 1].shape == (0, c.dims[n])

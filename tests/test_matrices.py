@@ -508,7 +508,7 @@ class TestParse:
         built = RatMatrix(1, len(cells), [cells])
         assert canonical(parsed) and canonical(built)
         assert parsed == built == RatMatrix(1, len(cells), [expected])
-        assert list(parsed.row(0)) == expected
+        assert list(parsed.entries[0]) == expected
         assert hash(parsed) == hash(built)
 
     @pytest.mark.parametrize("cell", ["4/2", "6/-4", "-0/3", "12/8"])

@@ -18,7 +18,9 @@ from dataclasses import replace
 import pytest
 
 from fredpairs import (
+    Subspace,
     chains,
+    image_basis,
     pairs,
     verify_remark_2_3,
     verify_theorem_3_4,
@@ -282,6 +284,22 @@ def test_ranges_set_quotients_by_something():
     assert len(RANGE_PAIRS) == len(RANGE_CHAINS) == 20
     assert all(pair.range_st.dim or pair.range_ts.dim for pair in RANGE_PAIRS)
     assert all(any(r.dim for r in chain.composition_ranges) for chain in RANGE_CHAINS)
+
+
+def test_ranges_set_quotients_kill_the_composition_ranges():
+    for chain in RANGE_CHAINS:
+        n, ranges, quotients = chain.top_degree, chain.composition_ranges, chain.quotient.quotients
+        down = chains._down(chain.maps, chain.dims)
+        assert len(ranges) == len(quotients) == n + 1
+        # the two top degrees have a padding map as a factor
+        assert ranges[n - 1] == Subspace.zero(chain.dims[n - 1])
+        assert ranges[n] == Subspace.zero(chain.dims[n])
+        for p in range(n + 1):
+            assert quotients[p].killed == ranges[p]
+            if p < n:
+                assert ranges[p] == image_basis(down[p + 1] @ down[p + 2])
+            assert (quotients[p].projection @ ranges[p].basis.transpose()).is_zero()
+            assert quotients[p].quotient_dim == chain.dims[p] - ranges[p].dim
 
 
 def test_unmutated_ranges_set_passes():

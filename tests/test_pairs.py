@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from fredpairs import (
+    DimensionError,
     PairInstance,
     PreconditionError,
     RatMatrix,
@@ -23,6 +26,24 @@ from conftest import mat
 
 def w2():
     return PairInstance(2, 1, mat([[1, 0]]), mat([[0], [1]]))
+
+
+class TestInstance:
+    @pytest.mark.parametrize("bad", [True, -1])
+    def test_dimension_must_be_a_nonnegative_int(self, bad):
+        # True == 1, so a 1 x 1 S and T would fit its shape
+        z = RatMatrix.zero(1, 1)
+        with pytest.raises(DimensionError):
+            PairInstance(bad, 1, z, z)
+        with pytest.raises(DimensionError):
+            PairInstance(1, bad, z, z)
+
+    def test_json_roundtrip(self):
+        cfg = GenConfig(seed=151, max_dim=6)
+        rng = cfg.rng()
+        for _ in range(20):
+            p = random_pair(cfg, rng)
+            assert PairInstance.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
 
 
 class TestPairDefects:

@@ -36,7 +36,7 @@ def spanning_sets(draw, n):
     rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=n + 2))
     if len(rows) >= 2 and draw(st.booleans()):
         first_two = mat(rows[:2], cols=n)
-        rows.append([a + b for a, b in zip(first_two.row(0), first_two.row(1))])
+        rows.append([a + b for a, b in zip(*first_two.entries)])
     return Subspace.spanned_by(mat(rows, cols=n))
 
 
