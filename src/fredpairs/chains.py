@@ -15,12 +15,13 @@ into Y in ascending order.  In that layout a map between the two parities is
 block diagonal in a padded family, so ``_fold`` takes the direct sums of its
 even- and odd-indexed members: S and T, S~ and T~, and the generalized
 inverses that theorem 4.2 adds to S and T.  The folded composition ranges,
-quotients and induced maps are direct sums of the chain's per-degree ones,
-so the folded pair takes them from the chain.  Its pseudoinverses, inverse
-extensions and defects are derived from the folded matrices themselves:
-theorem 4.2 compares those pseudoinverses with the per-degree ones, and
-remark 2.3 compares those defects with the chain's, so neither may be built
-from the other.
+quotients, induced maps and pseudoinverses are direct sums of the chain's
+per-degree ones (for the pseudoinverses by Penrose's uniqueness theorem,
+(+)A_p^+ = ((+)A_p)^+), so the folded pair takes them from the chain.  Only
+its defects are derived from the folded matrices themselves: remark 2.3
+compares them with the chain's, so they may not be built from those.  Its
+inverse extensions are lifted through the folded quotients, and theorem 4.2
+compares them with the folds of the per-degree lifts.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ class ChainInstance:
     @cached_property
     def folded(self) -> "FoldedPair":
         """The folded pair.  The pair verifiers run on it share its own
-        objects, and it reads its composition ranges, quotients and induced
-        maps from this chain (see ``FoldedPair``)."""
+        objects, and it reads its composition ranges, quotients, induced
+        maps and their pseudoinverses from this chain (see ``FoldedPair``)."""
         return fold_to_pair(self)
 
     def _sharing_copy(self) -> "ChainInstance":
@@ -194,7 +195,8 @@ class QuotientChain:
 
     The induced maps always form a complex, and the per-degree pseudoinverses
     form a complex of normalized generalized inverses; ``extended_inverses``
-    are their zero extensions back to the original spaces.
+    are their zero extensions back to the original spaces.  The folded pair
+    takes the folds of ``inverses_tilde`` as its S~+ and T~+.
     """
 
     quotients: tuple[QuotientStructure, ...]  # degree 0..n
@@ -227,7 +229,7 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
 @dataclass(frozen=True)
 class FoldedPair(PairInstance):
     """The pair a chain folds into, which reads its composition ranges,
-    quotients and induced maps from the chain.
+    quotients, induced maps and their pseudoinverses from the chain.
 
     S and T are the folds of the padded d_0..d_{n+1}, so T S maps X_{p+2}
     into X_p for even p and S T does so for odd p: R(TS) and R(ST) are the
@@ -236,10 +238,13 @@ class FoldedPair(PairInstance):
     block-diagonal basis are block diagonal, so the quotients X/R(TS) and
     Y/R(ST) are the folds of the chain's per-degree quotients (a fold of
     identity quotients is the identity quotient), and S~, T~ the fold of its
-    padded induced maps d~_0..d~_{n+1}.  All of them are canonical, so each
-    equals what the pair would derive from the folded matrices.  The induced
-    pair's own checks are direct sums of the chain's: the commuting square of
-    each d~_p, and d~_p d~_{p+1} = 0, the blocks of S~T~ and T~S~.
+    padded induced maps d~_0..d~_{n+1}.  The pseudoinverse of a direct sum
+    is the direct sum of the pseudoinverses, so S~+ and T~+ are the folds of
+    the padded d~'_0..d~'_{n+1}.  All of them are canonical, so each equals
+    what the pair would derive from the folded matrices.  The induced pair's
+    own checks are direct sums of the chain's: the commuting square of each
+    d~_p, and d~_p d~_{p+1} = 0, the blocks of S~T~ and T~S~.  In turn
+    ``build_extensions`` checks the per-degree pseudoinverses on the fold.
 
     ``chain`` is a copy of the chain that shares its per-degree objects
     (``ChainInstance._sharing_copy``).  It is not compared, hashed or shown,
@@ -263,13 +268,16 @@ class FoldedPair(PairInstance):
 
     @cached_property
     def induced(self) -> InducedPair:
-        """The folds of the chain's quotients and of its induced maps."""
+        """The folds of the chain's quotients, of its induced maps and of
+        their pseudoinverses.  The first fold of ``_up`` maps the odd degrees
+        to the even ones, so it is S~+, as in ``verify_theorem_4_2``."""
         qc = self.chain.quotient
+        q_dims = [q.quotient_dim for q in qc.quotients]
         if self.range_st.dim or self.range_ts.dim:
-            q_dims = [q.quotient_dim for q in qc.quotients]
             s_tilde, t_tilde = _fold(_down(qc.maps_tilde, q_dims))
         else:  # nothing is killed, so every d~_p is d_p and S~, T~ are S, T
             s_tilde, t_tilde = self.s, self.t
+        s_tilde_pinv, t_tilde_pinv = _fold(_up(qc.inverses_tilde, q_dims))
         projections = _fold([q.projection for q in qc.quotients])
         sections = _fold([q.section for q in qc.quotients])
         return InducedPair(
@@ -277,6 +285,8 @@ class FoldedPair(PairInstance):
             q_y=QuotientStructure(self.range_st, projections[1], sections[1]),
             s_tilde=s_tilde,
             t_tilde=t_tilde,
+            s_tilde_pinv=s_tilde_pinv,
+            t_tilde_pinv=t_tilde_pinv,
         )
 
 
@@ -284,9 +294,10 @@ def fold_to_pair(c: ChainInstance) -> FoldedPair:
     """Pack even degrees into X, odd degrees into Y, with S and T the
     degree-lowering maps between them: ``_fold(_down(c.maps, c.dims))``.
 
-    The pair reads its composition ranges, quotients and induced maps from
-    ``c``, through a copy that shares them; its defects and inverse
-    extensions are derived from S and T."""
+    The pair reads its composition ranges, quotients, induced maps and
+    their pseudoinverses from ``c``, through a copy that shares them; its
+    defects are derived from S and T, and its inverse extensions are lifted
+    through its folded quotients."""
     s, t = _fold(_down(c.maps, c.dims))
     return FoldedPair(dim_x=s.cols, dim_y=s.rows, s=s, t=t, chain=c._sharing_copy())
 
@@ -322,11 +333,14 @@ def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
 def quotient_chain(c: ChainInstance) -> QuotientChain:
     """Quotient each X_p by R(d_{p+1} d_{p+2}) and factor the maps through.
 
-    The induced family is a complex; its per-degree pseudoinverses compose to
-    zero as well and are normalized generalized inverses.  Both complexes are
-    checked; a failure raises ``InvariantError``, and so does a failed
-    precondition of ``induced_map``, since d_p maps R(d_{p+1} d_{p+2}) into
-    R(d_p d_{p+1}).  The extended inverse
+    The induced family is a complex, and so is the family of its per-degree
+    pseudoinverses.  Both complexes are checked here; a failure raises
+    ``InvariantError``, and so does a failed precondition of
+    ``induced_map``, since d_p maps R(d_{p+1} d_{p+2}) into R(d_p d_{p+1}).
+    That each d~'_p is a normalized generalized inverse of d~_p is checked
+    where the folded pair's default bundle is built, by theorem 4.2 and the
+    pair checks on a chain: ``build_extensions`` checks it block by block on
+    the fold.  Theorem 4.4 alone does not check it.  The extended inverse
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     ranges = c.composition_ranges

@@ -146,7 +146,9 @@ def _fuzz_instance(cfg: GenConfig, kind: str):
 def cmd_fuzz(args) -> int:
     """Verify ``--count`` seeded instances, one JSON line each, then a summary.
 
-    An ``InvariantError`` fails only its own instance: the line gives its
+    The options are checked before the loop and the instances are
+    generated, so a package error inside the loop is an internal failure,
+    whatever its class.  It fails only its own instance: the line gives its
     message as ``"error"`` in place of ``"reports"``, the run goes on, and
     it exits 3 once the summary is printed.
     """
@@ -169,7 +171,7 @@ def cmd_fuzz(args) -> int:
         try:
             instance = _fuzz_instance(replace(cfg, seed=seed), kind)
             reports = _reports(instance, checks)
-        except InvariantError as exc:
+        except FredpairsError as exc:
             error = str(exc)
         line = {"ordinal": ordinal, "kind": kind, "seed": seed}
         with _unlimited_int_digits():

@@ -5,12 +5,12 @@ denominator ``den``, in canonical form: ``gcd(den, every entry of num) == 1``.
 The pair is then unique, so equality and hashing compare it directly, and the
 kernels and every operation run on Python ints with no tolerance anywhere.
 ``fractions.Fraction`` values are built only where the public API hands
-entries out (``entries``, ``row``, indexing, JSON).  A linear map
+entries out (``entries``, indexing, JSON).  A linear map
 ``A: Q^n -> Q^m`` is stored as an m x n matrix acting on column vectors.
 
-One reader, ``_scalar``, takes every entry in: the constructor's, the JSON
-reader's (after its inline fast path for strings) and ``scale``'s factor.
-So the constructor and JSON refuse the same values, a bool among them.
+One reader, ``_scalar``, takes every entry in: the constructor's and the
+JSON reader's (after its inline fast path for strings).  So the
+constructor and JSON refuse the same values, a bool among them.
 
 Rows are lists, and no code mutates a row it did not just allocate: matrices
 share rows freely (a zero matrix repeats one row, a reduced matrix may reuse
@@ -231,11 +231,6 @@ class RatMatrix:
             for r1, r2 in zip(_rescaled(self, den), _rescaled(other, den))
         ]
         return RatMatrix._canonical(self.rows, self.cols, num, den)
-
-    def scale(self, factor) -> "RatMatrix":
-        fn, fd = _scalar(factor)
-        num = [[fn * x for x in row] for row in self.num]
-        return RatMatrix._canonical(self.rows, self.cols, num, fd * self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:

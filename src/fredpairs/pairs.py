@@ -121,12 +121,19 @@ class PairDefects:
 
 @dataclass(frozen=True)
 class InducedPair:
-    """The pair induced on X/R(TS) and Y/R(ST); always a two-term complex."""
+    """The pair induced on X/R(TS) and Y/R(ST); always a two-term complex.
+
+    ``s_tilde_pinv`` and ``t_tilde_pinv`` are the Moore-Penrose inverses of
+    S~ and T~, which the default extensions take; that they are normalized
+    generalized inverses composing to zero is checked by ``build_extensions``.
+    """
 
     q_x: QuotientStructure
     q_y: QuotientStructure
     s_tilde: RatMatrix
     t_tilde: RatMatrix
+    s_tilde_pinv: RatMatrix  # dim X/R(TS) x dim Y/R(ST)
+    t_tilde_pinv: RatMatrix  # dim Y/R(ST) x dim X/R(TS)
 
 
 @dataclass(frozen=True)
@@ -226,7 +233,8 @@ def induced_pair(p: PairInstance) -> InducedPair:
     S~ is the projected image of N(S) + R(T).  That the induced maps compose
     to zero is checked; a failure raises ``InvariantError``.  S maps R(TS)
     into R(ST) and T maps R(ST) into R(TS), so a failed precondition of
-    ``induced_map`` here is an ``InvariantError`` too.
+    ``induced_map`` here is an ``InvariantError`` too.  The pseudoinverses of
+    S~ and T~ are taken once the pair is known to be a complex.
     """
     q_x = quotient(p.dim_x, p.range_ts)
     q_y = quotient(p.dim_y, p.range_st)
@@ -240,7 +248,14 @@ def induced_pair(p: PairInstance) -> InducedPair:
         and composes_to_zero(t_tilde, s_tilde, p.t, p.s, p.range_ts)
     ):
         raise InvariantError("the induced pair is not a complex")
-    return InducedPair(q_x=q_x, q_y=q_y, s_tilde=s_tilde, t_tilde=t_tilde)
+    return InducedPair(
+        q_x=q_x,
+        q_y=q_y,
+        s_tilde=s_tilde,
+        t_tilde=t_tilde,
+        s_tilde_pinv=s_tilde.pseudoinverse(),
+        t_tilde_pinv=t_tilde.pseudoinverse(),
+    )
 
 
 def build_extensions(
@@ -250,10 +265,13 @@ def build_extensions(
 ) -> InverseBundle:
     """Build zero-extended generalized inverses S', T' for the pair.
 
-    Default mode takes pseudoinverses of the induced maps, which are
-    generalized inverses, normalized, and compose to zero (the induced pair
-    is a complex, so the pseudoinverse family is one too); a default bundle
-    that fails any of the three raises ``InvariantError``.  X = 0 passes the
+    Default mode takes the pseudoinverses the induced pair holds
+    (``InducedPair.s_tilde_pinv``, ``t_tilde_pinv``), which are generalized
+    inverses, normalized, and compose to zero (the induced pair is a complex,
+    so the pseudoinverse family is one too); a default bundle that fails any
+    of the three raises ``InvariantError``.  A folded pair's induced
+    pseudoinverses are folds of a chain's per-degree ones, so there these
+    checks are the per-degree identities, block by block.  X = 0 passes the
     last two, so only A X A = A refuses it.  Supplying custom quotient-level
     inverses exercises the "any extensions" variant; they must actually be
     generalized inverses of S~ and T~, and the two extra identities are
@@ -265,8 +283,7 @@ def build_extensions(
         raise PreconditionError("supply both custom inverses or neither")
     default = s_tilde_prime is None
     if default:
-        s_tilde_prime = ind.s_tilde.pseudoinverse()
-        t_tilde_prime = ind.t_tilde.pseudoinverse()
+        s_tilde_prime, t_tilde_prime = ind.s_tilde_pinv, ind.t_tilde_pinv
     xa_s = s_tilde_prime @ ind.s_tilde
     xa_t = t_tilde_prime @ ind.t_tilde
     normalized = xa_s @ s_tilde_prime == s_tilde_prime and xa_t @ t_tilde_prime == t_tilde_prime

@@ -5,6 +5,7 @@ from fredpairs import (
     DimensionError,
     PairInstance,
     RatMatrix,
+    build_extensions,
     chain_defects,
     chains,
     fold_to_pair,
@@ -175,14 +176,14 @@ class TestQuotientChain:
                 assert (qc.extended_inverses[p - 1] @ comp).is_zero()
 
     def test_folding_consistency(self):
-        # The folded pair assembles its composition ranges, quotients and
-        # induced maps from the chain's per-degree ones; each must equal what
-        # the pair derives from the folded matrices alone.
-        instances = random_chains(seed=127, count=10, rank_budget=4) + generic_chains(
+        # The folded pair assembles its composition ranges, quotients, induced
+        # maps and their pseudoinverses from the chain's per-degree ones; each
+        # must equal what the pair derives from the folded matrices alone.
+        generated = random_chains(seed=127, count=10, rank_budget=4) + generic_chains(
             seed=157, count=12
         )
         both_parities = 0
-        for c in instances:
+        for c in zero_degree_chains() + generated:
             folded = fold_to_pair(c)
             plain = PairInstance(folded.dim_x, folded.dim_y, folded.s, folded.t)
             assert folded.range_st == image_basis(plain.s @ plain.t)
@@ -193,6 +194,11 @@ class TestQuotientChain:
                 assert q.killed == e.killed and q.quotient_dim == e.quotient_dim
                 assert q.projection == e.projection and q.section == e.section
             assert ind.s_tilde == expected.s_tilde and ind.t_tilde == expected.t_tilde
+            # the folds of the per-degree pseudoinverses are the pseudoinverses
+            # of the folds, so the default bundles agree
+            assert ind.s_tilde_pinv == expected.s_tilde.pseudoinverse()
+            assert ind.t_tilde_pinv == expected.t_tilde.pseudoinverse()
+            assert folded.extensions == build_extensions(plain)
             # and fold(quotient_chain(c)) is the induced pair of fold(c)
             qc = quotient_chain(c)
             quotiented_chain = ChainInstance(
@@ -201,7 +207,7 @@ class TestQuotientChain:
             refolded = fold_to_pair(quotiented_chain)
             assert refolded.s == expected.s_tilde
             assert refolded.t == expected.t_tilde
-        assert both_parities > len(instances) // 2
+        assert both_parities > len(generated) // 2
 
 
 def zero_degree_chains():

@@ -6,7 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from fredpairs import PairInstance, RatMatrix, Subspace, cli, generators, matrices, pairs
+from fredpairs import (
+    DimensionError,
+    PairInstance,
+    RatMatrix,
+    Subspace,
+    cli,
+    generators,
+    matrices,
+    pairs,
+)
 from fredpairs.cli import main
 
 W2 = {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}
@@ -218,6 +227,31 @@ class TestFuzz:
                 assert got == want
         written = [p.name for p in (tmp_path / "f").iterdir()]
         assert written == ["instance_5_4.json"]
+
+    def test_any_package_error_fails_only_its_instance(self, tmp_path, capsys, monkeypatch):
+        # A DimensionError in the first chain's theorem 4.4 is an internal
+        # failure too: its line carries the error and the summary still comes.
+        verify = cli.verify_theorem_4_4
+        raised = []
+
+        def fails_once(c):
+            if not raised:
+                raised.append(c)
+                raise DimensionError("injected")
+            return verify(c)
+
+        monkeypatch.setattr(cli, "verify_theorem_4_4", fails_once)
+        code, out, err = run(
+            capsys, ["fuzz", "--seed", "5", "--count", "4", "--failures-dir", str(tmp_path / "f")]
+        )
+        assert code == 3
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert lines[-1]["summary"] == {
+            "count": 4, "passed": 3, "failed": 1, "errors": 1, "seed": 5
+        }
+        assert [line["ordinal"] for line in lines[:-1] if "error" in line] == [1]
+        assert lines[1]["error"] == "injected" and lines[1]["passed"] is False
+        assert err == "invariant failed in instance 1: injected\n"
 
     def test_generator_invariant_error_has_no_instance(self, tmp_path, capsys, monkeypatch):
         # With a kernel basis that spans everything, the complex-only

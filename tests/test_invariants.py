@@ -89,10 +89,16 @@ def test_cli_exits_3(wrong_pseudoinverse, tmp_path, capsys):
 )
 def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, flags):
     # For A != 0, X = 2 A+ gives X A X = 4 A+ != X: not normalized.  On the
-    # chain the per-degree inverses still compose to zero, so the folded
-    # pair's default bundle is what refuses it.
+    # chain the per-degree inverses still compose to zero, so quotient_chain
+    # passes them, and the folded pair's default bundle, which folds them,
+    # refuses them block by block.
     pseudoinverse = RatMatrix.pseudoinverse
-    monkeypatch.setattr(RatMatrix, "pseudoinverse", lambda self: pseudoinverse(self).scale(2))
+
+    def doubled(self):
+        good = pseudoinverse(self)
+        return good + good
+
+    monkeypatch.setattr(RatMatrix, "pseudoinverse", doubled)
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
     assert main(["verify", str(path), *flags]) == 3
@@ -105,7 +111,8 @@ def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, f
 @pytest.mark.parametrize("instance, flags", [(PAIR, []), (CHAIN, ["--thm42"])], ids=["pair", "chain"])
 def test_zero_pseudoinverse_exits_3(zero_pseudoinverse, tmp_path, capsys, instance, flags):
     # On the chain the per-degree inverses are zero and compose to zero, so
-    # the folded pair's default bundle is what refuses them.
+    # quotient_chain passes them, and the folded pair's default bundle, which
+    # folds them, refuses them block by block.
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
     assert main(["verify", str(path), *flags]) == 3
@@ -113,6 +120,26 @@ def test_zero_pseudoinverse_exits_3(zero_pseudoinverse, tmp_path, capsys, instan
     assert captured.out == ""
     assert captured.err.startswith("invariant failed: ")
     assert "not a generalized inverse" in captured.err
+
+
+def test_wrong_per_degree_inverses_exit_3(monkeypatch, tmp_path, capsys):
+    # Only the quotient chain's own inverses are doubled; the extended ones,
+    # which theorem 4.2 lifts and folds on the chain route, are left alone.
+    # The folded pair reads the doubled inverses, and its bundle refuses them.
+    quotient_chain = chains.quotient_chain
+
+    def doubled_inverses(c):
+        qc = quotient_chain(c)
+        return dataclasses.replace(qc, inverses_tilde=tuple(m + m for m in qc.inverses_tilde))
+
+    monkeypatch.setattr(chains, "quotient_chain", doubled_inverses)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(CHAIN))
+    assert main(["verify", str(path), "--thm42"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant failed: ")
+    assert "not normalized" in captured.err
 
 
 def test_induced_pair(monkeypatch):

@@ -207,7 +207,7 @@ def test_refuses_attribute_assignment():
     for name in ("rows", "cols", "num", "den", "_rref", "other"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
-    assert m.rref() is m.rref() and hash(m) == hash(mat([[2, 4], [1, 2]]).scale("1/2"))
+    assert m.rref() is m.rref() and hash(m) == hash(mat([["2/2", "4/2"], ["1/2", "2/2"]]))
 
 
 # -- representation: integer rows over one canonical denominator --------
@@ -318,13 +318,12 @@ class TestPseudoinverseBranches:
 
 class TestRepresentation:
     @settings(max_examples=80, deadline=None)
-    @given(same_shape(), scalars)
-    def test_entrywise_operations(self, pair, factor):
+    @given(same_shape())
+    def test_entrywise_operations(self, pair):
         a, b = pair
         for result, expected in [
             (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
             (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, b.entries)]),
-            (a.scale(factor), [[factor * x for x in r] for r in a.entries]),
             (a.transpose(), [list(c) for c in zip(*a.entries)] if a.rows else [[]] * a.cols),
         ]:
             assert canonical(result)
@@ -480,7 +479,7 @@ class TestRepresentation:
     @settings(max_examples=60, deadline=None)
     @given(rat_matrices())
     def test_double_is_not_equal(self, a):
-        double = a.scale(2)
+        double = a + a
         assert canonical(double)
         assert (double == a) == a.is_zero()
         if a.den % 2 == 0:
@@ -489,7 +488,7 @@ class TestRepresentation:
 
     def test_same_num_different_den(self):
         a = mat([["1/2", "3/2"]])
-        double = a.scale(2)
+        double = a + a
         assert a.num == double.num == [[1, 3]]
         assert (a.den, double.den) == (2, 1)
         assert a != double and double == mat([[1, 3]])

@@ -140,7 +140,8 @@ def lift_twice(lift):
     right, so only the checks that read a lifted map can see it."""
 
     def wrong(m, q_dom, q_cod):
-        return lift(m, q_dom, q_cod).scale(2)
+        lifted = lift(m, q_dom, q_cod)
+        return lifted + lifted
 
     return wrong
 
