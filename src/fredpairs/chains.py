@@ -338,9 +338,9 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     ``InvariantError``, and so does a failed precondition of
     ``induced_map``, since d_p maps R(d_{p+1} d_{p+2}) into R(d_p d_{p+1}).
     That each d~'_p is a normalized generalized inverse of d~_p is checked
-    where the folded pair's default bundle is built, by theorem 4.2 and the
-    pair checks on a chain: ``build_extensions`` checks it block by block on
-    the fold.  Theorem 4.4 alone does not check it.  The extended inverse
+    where the folded pair's default bundle is built: ``build_extensions``
+    checks it block by block on the fold, and theorems 4.2 and 4.4 and the
+    pair checks on a chain all build that bundle.  The extended inverse
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     ranges = c.composition_ranges
@@ -414,7 +414,9 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
     shape-determined, since every Laplacian is square.  Both Laplacians of a
     degree come from ``laplacians``, which reuses the original one where the
     quotients changed no factor, as at every degree of a complex; it is
-    still lifted and subtracted."""
+    still lifted and subtracted.  The folded pair's default bundle is built
+    first: it checks each d~'_p read here block by block, as theorem 4.2 does."""
+    c.folded.extensions
     defects, qc = c.defects, c.quotient
     q_dims = [q.quotient_dim for q in qc.quotients]
     down, up = _down(c.maps, c.dims), _up(qc.extended_inverses, c.dims)

@@ -8,9 +8,8 @@ kernels and every operation run on Python ints with no tolerance anywhere.
 entries out (``entries``, indexing, JSON).  A linear map
 ``A: Q^n -> Q^m`` is stored as an m x n matrix acting on column vectors.
 
-One reader, ``_scalar``, takes every entry in: the constructor's and the
-JSON reader's (after its inline fast path for strings).  So the
-constructor and JSON refuse the same values, a bool among them.
+One grid reader, ``_read_grid``, takes in every entry of the constructor and
+of the JSON reader, so both refuse the same values, a bool among them.
 
 Rows are lists, and no code mutates a row it did not just allocate: matrices
 share rows freely (a zero matrix repeats one row, a reduced matrix may reuse
@@ -27,64 +26,74 @@ from typing import Iterable, Sequence
 from ._kernels import mat_mul, rref_rows
 from .errors import DimensionError, InputError
 
-def _scalar(value) -> tuple[int, int]:
-    """An int, ``"p/q"`` string or Fraction as ``(n, d)`` in lowest terms, d > 0.
+def _off_grammar(text: str) -> bool:
+    """Whether ``text`` holds what int() takes beyond -?[0-9]+.
 
-    The int test is by exact type, so a bool, an int subclass, is refused.
+    On ASCII text that is only blanks (" " or not printable), "+" and "_".
+    Each is a test of single characters, so a join of strings passes exactly
+    when every string does.
     """
-    if type(value) is int:
-        return value, 1
-    if isinstance(value, str):
-        return _parse_rat_string(value)
-    if isinstance(value, Fraction):
-        return value.numerator, value.denominator
-    raise InputError(f"not an integer, 'p/q' string or Fraction: {value!r}")
+    return not (text.isascii() and text.isprintable()) or " " in text or "+" in text or "_" in text
 
 
-def _parse_rat_string(text: str) -> tuple[int, int]:
-    """A string ``n`` or ``n/d`` of the grammar -?[0-9]+(/-?[0-9]+)?.
+def _read_grid(grid: Iterable[Iterable]) -> tuple[list[list[int]], int]:
+    """Ints, ``"p/q"`` strings and Fractions as canonical integer rows over one den.
 
-    On ASCII text int() takes, beyond -?[0-9]+, only blanks (" " or not
-    printable), "+" and "_"; with those ruled out it takes exactly the
-    grammar's parts.
+    The strings are screened once, joined; each is then read by one
+    ``partition("/")`` and two int() calls, so exactly -?[0-9]+(/-?[0-9]+)?
+    with a nonzero denominator passes.  The int test is by exact type, so a
+    bool is refused.  The grid goes over the lcm of its denominators and is
+    reduced once.  A failure raises ``InputError`` naming an offending entry.
     """
-    parts = text.split("/")
-    try:
-        if not (text.isascii() and text.isprintable()) or " " in text or "+" in text or "_" in text:
-            raise ValueError(text)
-        if len(parts) == 1:
-            return int(parts[0]), 1
-        if len(parts) == 2:
-            num, den = int(parts[0]), int(parts[1])
-        else:
-            raise ValueError(text)
-    except ValueError:
-        raise InputError(f"malformed rational: {text!r}") from None
-    if den > 0:
-        g = gcd(num, den)
-        return (num, den) if g == 1 else (num // g, den // g)
-    if den == 0:
-        raise InputError(f"zero denominator: {text!r}")
-    g = -gcd(num, den)
-    return num // g, den // g
+    grid = [list(row) for row in grid]
+    strings = [e for row in grid for e in row if isinstance(e, str)]
+    if _off_grammar("".join(strings)):
+        raise InputError(f"malformed rational: {next(filter(_off_grammar, strings))!r}")
+    pairs = []
+    for row in grid:
+        out = []
+        for e in row:
+            if type(e) is int:
+                out.append((e, 1))
+            elif isinstance(e, str):
+                head, slash, tail = e.partition("/")
+                try:
+                    n, d = int(head), int(tail) if slash else 1
+                except ValueError:
+                    raise InputError(f"malformed rational: {e!r}") from None
+                if d <= 0:
+                    if not d:
+                        raise InputError(f"zero denominator: {e!r}")
+                    n, d = -n, -d
+                out.append((n, d))
+            elif isinstance(e, Fraction):
+                out.append((e.numerator, e.denominator))
+            else:
+                raise InputError(f"not an integer, 'p/q' string or Fraction: {e!r}")
+        pairs.append(out)
+    den = lcm(*[d for row in pairs for _, d in row])
+    if den == 1:
+        return [[n for n, _ in row] for row in pairs], 1
+    return _reduced([[n * (den // d) for n, d in row] for row in pairs], den)
+
+
+def _reduced(num: list[list[int]], den: int) -> tuple[list[list[int]], int]:
+    """Integer rows over ``den > 0`` with their common factor divided out."""
+    g = den
+    for row in num:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    if g > 1:
+        num = [[x // g for x in row] for row in num]
+        den //= g
+    return num, den
 
 
 def _encode_rat(value: Fraction | int):
     if value.denominator == 1:
         return int(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _over_common_den(grid: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
-    """Integer rows over the lcm of the denominators of reduced ``(n, d)`` pairs.
-
-    The result is canonical: a prime power dividing the lcm exactly divides
-    some d exactly, and that entry's n is prime to d.
-    """
-    den = lcm(*[d for row in grid for _, d in row])
-    if den == 1:
-        return [[n for n, _ in row] for row in grid], 1
-    return [[n * (den // d) for n, d in row] for row in grid], den
 
 
 def _rescaled(m: "RatMatrix", den: int) -> list[list[int]]:
@@ -125,10 +134,10 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "num", "den", "_rref")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable]):
-        grid = [[_scalar(e) for e in row] for row in entries]
-        if len(grid) != rows or any(len(row) != cols for row in grid):
+        num, den = _read_grid(entries)
+        if len(num) != rows or any(len(row) != cols for row in num):
             raise DimensionError(f"entry grid does not match shape {rows}x{cols}")
-        _fill(self, rows, cols, *_over_common_den(grid))
+        _fill(self, rows, cols, num, den)
 
     @classmethod
     def _raw(cls, rows: int, cols: int, num: list[list[int]], den: int) -> "RatMatrix":
@@ -140,15 +149,7 @@ class RatMatrix:
     @classmethod
     def _canonical(cls, rows: int, cols: int, num: list[list[int]], den: int) -> "RatMatrix":
         """Wrap integer rows over ``den > 0`` after dividing out their common factor."""
-        g = den
-        for row in num:
-            if g == 1:
-                break
-            g = gcd(g, *row)
-        if g > 1:
-            num = [[x // g for x in row] for row in num]
-            den //= g
-        return cls._raw(rows, cols, num, den)
+        return cls._raw(rows, cols, *_reduced(num, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -345,12 +346,7 @@ class RatMatrix:
             cols = len(obj[0]) if obj else 0
         if len(obj) != rows or any(len(row) != cols for row in obj):
             raise InputError(f"matrix JSON does not have shape {rows}x{cols}")
-        # a string entry goes straight to its parser, one call fewer
-        grid = [
-            [_parse_rat_string(e) if type(e) is str else _scalar(e) for e in row]
-            for row in obj
-        ]
-        return cls._raw(rows, cols, *_over_common_den(grid))
+        return cls._raw(rows, cols, *_read_grid(obj))
 
 
 # The slot descriptors' own setters fill a new matrix and its rref cache, since

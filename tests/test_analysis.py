@@ -271,7 +271,7 @@ class TestComputedOnce:
         # d_1 d_2 = 0 with both maps nonzero: nothing is killed, so each
         # quotient Laplacian is the original one, formed once
         chain = ChainInstance.from_json_obj({"dims": [1, 2, 1], "maps": [[[0, 1]], [[1], [0]]]})
-        chain.defects, chain.quotient
+        chain.defects, chain.quotient, chain.folded.extensions
         products = record_operands(monkeypatch, "__matmul__")
         assert verify_theorem_4_4(chain).passed
         assert len(products) == 2 * len(chain.dims)

@@ -84,14 +84,14 @@ def test_cli_exits_3(wrong_pseudoinverse, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "instance, flags",
-    [(PAIR, []), (CHAIN, ["--thm42"])],
-    ids=["pair", "chain"],
+    [(PAIR, []), (CHAIN, ["--thm42"]), (CHAIN, ["--thm44"])],
+    ids=["pair", "chain", "chain-thm44"],
 )
 def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, flags):
     # For A != 0, X = 2 A+ gives X A X = 4 A+ != X: not normalized.  On the
     # chain the per-degree inverses still compose to zero, so quotient_chain
     # passes them, and the folded pair's default bundle, which folds them,
-    # refuses them block by block.
+    # refuses them block by block.  Theorem 4.4 alone builds that bundle too.
     pseudoinverse = RatMatrix.pseudoinverse
 
     def doubled(self):

@@ -544,3 +544,52 @@ class TestParse:
                 RatMatrix.from_json_obj([[text]])
             with pytest.raises(InputError):
                 RatMatrix(1, 1, [[text]])
+
+    # the alphabet of test_grammar; a near miss is a string that int() may
+    # still read, one stray character away from the grammar
+    CELL = st.one_of(
+        st.text(alphabet="01-/+_ \t\n\x1c٣x", max_size=7),
+        st.from_regex(r"[-+_ \t\n\x1c٣]?[01]{1,2}[_ ]?(/[-+ ]?[01٣]{1,2})?", fullmatch=True),
+        st.integers(-9, 9),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(CELL, min_size=1, max_size=3))
+    def test_grammar_per_grid(self, cells):
+        # the strings of a grid are screened once, joined: a grid passes
+        # exactly when every cell does, a bad cell beside good ones included
+        values = []
+        for cell in cells:
+            if type(cell) is int:
+                values.append(Fraction(cell))
+                continue
+            match = re.fullmatch(r"(-?[0-9]+)(?:/(-?[0-9]+))?", cell)
+            if not (match and int(match[2] or 1)):
+                break
+            values.append(Fraction(int(match[1]), int(match[2] or 1)))
+        if len(values) == len(cells):
+            parsed = RatMatrix.from_json_obj([cells])
+            assert parsed == RatMatrix(1, len(cells), [cells]) == mat([values])
+        else:
+            with pytest.raises(InputError):
+                RatMatrix.from_json_obj([cells])
+            with pytest.raises(InputError):
+                RatMatrix(1, len(cells), [cells])
+
+    @pytest.mark.parametrize(
+        "cells, bad",
+        [
+            ([1, "2/3", "1_0"], "1_0"),
+            (["4/2", "5/0"], "5/0"),
+            (["1/2", " 3", 4], " 3"),
+            (["1/2/3", "-1"], "1/2/3"),
+            ([0, "6/-4", None], None),
+            (["7", True], True),
+        ],
+    )
+    def test_error_names_the_bad_entry(self, cells, bad):
+        with pytest.raises(InputError) as parsed:
+            RatMatrix.from_json_obj([cells])
+        with pytest.raises(InputError) as built:
+            RatMatrix(1, len(cells), [cells])
+        assert repr(bad) in str(parsed.value) and repr(bad) in str(built.value)
