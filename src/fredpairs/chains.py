@@ -36,6 +36,7 @@ from .pairs import (
     PairInstance,
     TheoremReport,
     _is_dimension,
+    check_pseudoinverses,
     fredholm_data,
     laplacians,
 )
@@ -196,13 +197,18 @@ class QuotientChain:
     The induced maps always form a complex, and the per-degree pseudoinverses
     form a complex of normalized generalized inverses; ``extended_inverses``
     are their zero extensions back to the original spaces.  The folded pair
-    takes the folds of ``inverses_tilde`` as its S~+ and T~+.
+    takes the folds of ``inverses_tilde``, each checked here, as its S~+ and T~+.
     """
 
     quotients: tuple[QuotientStructure, ...]  # degree 0..n
     maps_tilde: tuple[RatMatrix, ...]  # induced d~_p, p = 1..n
     inverses_tilde: tuple[RatMatrix, ...]  # d~'_p, p = 1..n
     extended_inverses: tuple[RatMatrix, ...]  # d'_p: X_{p-1} -> X_p, p = 1..n
+
+    def __post_init__(self):
+        inv = self.inverses_tilde
+        names = [f"d~'_{p}" for p in range(1, len(inv) + 1)]
+        check_pseudoinverses("induced chain", self.maps_tilde, inv, zip(inv[1:], inv), names)
 
 
 def chain_defects(c: ChainInstance) -> ChainDefects:
@@ -243,8 +249,7 @@ class FoldedPair(PairInstance):
     the padded d~'_0..d~'_{n+1}.  All of them are canonical, so each equals
     what the pair would derive from the folded matrices.  The induced pair's
     own checks are direct sums of the chain's: the commuting square of each
-    d~_p, and d~_p d~_{p+1} = 0, the blocks of S~T~ and T~S~.  In turn
-    ``build_extensions`` checks the per-degree pseudoinverses on the fold.
+    d~_p, d~_p d~_{p+1} = 0 and the Penrose identities of each d~'_p.
 
     ``chain`` is a copy of the chain that shares its per-degree objects
     (``ChainInstance._sharing_copy``).  It is not compared, hashed or shown,
@@ -254,7 +259,7 @@ class FoldedPair(PairInstance):
     chain: ChainInstance = field(compare=False, repr=False)
 
     def _folded_range(self, parity: int) -> Subspace:
-        return Subspace(_fold([r.basis for r in self.chain.composition_ranges])[parity])
+        return Subspace(direct_sum(*[r.basis for r in self.chain.composition_ranges][parity::2]))
 
     @cached_property
     def range_st(self) -> Subspace:
@@ -333,14 +338,10 @@ def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
 def quotient_chain(c: ChainInstance) -> QuotientChain:
     """Quotient each X_p by R(d_{p+1} d_{p+2}) and factor the maps through.
 
-    The induced family is a complex, and so is the family of its per-degree
-    pseudoinverses.  Both complexes are checked here; a failure raises
+    The induced family is a complex, checked here; a failure raises
     ``InvariantError``, and so does a failed precondition of
     ``induced_map``, since d_p maps R(d_{p+1} d_{p+2}) into R(d_p d_{p+1}).
-    That each d~'_p is a normalized generalized inverse of d~_p is checked
-    where the folded pair's default bundle is built: ``build_extensions``
-    checks it block by block on the fold, and theorems 4.2 and 4.4 and the
-    pair checks on a chain all build that bundle.  The extended inverse
+    ``QuotientChain`` checks the pseudoinverses d~'_p.  The extended inverse
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     ranges = c.composition_ranges
@@ -352,14 +353,12 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
         )
     except PreconditionError as exc:
         raise InvariantError(f"the induced chain: {exc}") from exc
-    inverses_tilde = tuple(m.pseudoinverse() for m in maps_tilde)
     for i in range(len(maps_tilde) - 1):
         if not composes_to_zero(
             maps_tilde[i], maps_tilde[i + 1], c.maps[i], c.maps[i + 1], ranges[i]
         ):
             raise InvariantError(f"induced maps {i + 1} and {i + 2} do not compose to zero")
-        if not (inverses_tilde[i + 1] @ inverses_tilde[i]).is_zero():
-            raise InvariantError(f"inverses {i + 2} and {i + 1} do not compose to zero")
+    inverses_tilde = tuple(m.pseudoinverse() for m in maps_tilde)
     extended = tuple(
         lift(m, q_dom, q_cod) for m, q_dom, q_cod in zip(inverses_tilde, quotients, quotients[1:])
     )
@@ -414,9 +413,7 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
     shape-determined, since every Laplacian is square.  Both Laplacians of a
     degree come from ``laplacians``, which reuses the original one where the
     quotients changed no factor, as at every degree of a complex; it is
-    still lifted and subtracted.  The folded pair's default bundle is built
-    first: it checks each d~'_p read here block by block, as theorem 4.2 does."""
-    c.folded.extensions
+    still lifted and subtracted.  ``QuotientChain`` checked each d~'_p."""
     defects, qc = c.defects, c.quotient
     q_dims = [q.quotient_dim for q in qc.quotients]
     down, up = _down(c.maps, c.dims), _up(qc.extended_inverses, c.dims)

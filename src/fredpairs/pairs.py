@@ -124,8 +124,8 @@ class InducedPair:
     """The pair induced on X/R(TS) and Y/R(ST); always a two-term complex.
 
     ``s_tilde_pinv`` and ``t_tilde_pinv`` are the Moore-Penrose inverses of
-    S~ and T~, which the default extensions take; that they are normalized
-    generalized inverses composing to zero is checked by ``build_extensions``.
+    S~ and T~, which the default extensions take; ``induced_pair`` checks
+    them, or on a folded pair ``QuotientChain`` checks each block.
     """
 
     q_x: QuotientStructure
@@ -226,6 +226,28 @@ def laplacians(
 # -- quotient pair and inverses ---------------------------------------
 
 
+def penrose_identities(maps, inverses, zero_products) -> tuple[bool, bool, int | None]:
+    """For inverses X of ``maps`` A: whether each X A X = X, whether each X Y in
+    ``zero_products`` is 0, and where A X A != A first, or None.  X A is formed once."""
+    xas = [x @ a for a, x in zip(maps, inverses)]
+    normalized = all(xa @ x == x for xa, x in zip(xas, inverses))
+    composes = all((x @ y).is_zero() for x, y in zero_products)
+    failed = next((i for i, (a, xa) in enumerate(zip(maps, xas)) if a @ xa != a), None)
+    return normalized, composes, failed
+
+
+def check_pseudoinverses(of: str, maps, inverses, zero_products, names) -> None:
+    """Check Moore-Penrose inverses where they are taken: a failed identity is an
+    ``InvariantError``, tested in order.  X = 0 fails only A X A = A."""
+    normalized, composes, failed = penrose_identities(maps, inverses, zero_products)
+    if not normalized:
+        raise InvariantError(f"the pseudoinverses of the {of} are not normalized")
+    if not composes:
+        raise InvariantError(f"the pseudoinverses of the {of} do not compose to zero")
+    if failed is not None:
+        raise InvariantError(f"default {names[failed]} is not a generalized inverse")
+
+
 def induced_pair(p: PairInstance) -> InducedPair:
     """Quotient X by R(TS) and Y by R(ST) and factor S, T through.
 
@@ -234,7 +256,7 @@ def induced_pair(p: PairInstance) -> InducedPair:
     to zero is checked; a failure raises ``InvariantError``.  S maps R(TS)
     into R(ST) and T maps R(ST) into R(TS), so a failed precondition of
     ``induced_map`` here is an ``InvariantError`` too.  The pseudoinverses of
-    S~ and T~ are taken once the pair is known to be a complex.
+    S~ and T~ are taken and checked once the pair is known to be a complex.
     """
     q_x = quotient(p.dim_x, p.range_ts)
     q_y = quotient(p.dim_y, p.range_st)
@@ -248,14 +270,10 @@ def induced_pair(p: PairInstance) -> InducedPair:
         and composes_to_zero(t_tilde, s_tilde, p.t, p.s, p.range_ts)
     ):
         raise InvariantError("the induced pair is not a complex")
-    return InducedPair(
-        q_x=q_x,
-        q_y=q_y,
-        s_tilde=s_tilde,
-        t_tilde=t_tilde,
-        s_tilde_pinv=s_tilde.pseudoinverse(),
-        t_tilde_pinv=t_tilde.pseudoinverse(),
-    )
+    pinvs = (s_tilde.pseudoinverse(), t_tilde.pseudoinverse())
+    names = ("s_tilde_prime", "t_tilde_prime")
+    check_pseudoinverses("induced pair", (s_tilde, t_tilde), pinvs, (pinvs, pinvs[::-1]), names)
+    return InducedPair(q_x, q_y, s_tilde, t_tilde, *pinvs)
 
 
 def build_extensions(
@@ -265,40 +283,25 @@ def build_extensions(
 ) -> InverseBundle:
     """Build zero-extended generalized inverses S', T' for the pair.
 
-    Default mode takes the pseudoinverses the induced pair holds
-    (``InducedPair.s_tilde_pinv``, ``t_tilde_pinv``), which are generalized
-    inverses, normalized, and compose to zero (the induced pair is a complex,
-    so the pseudoinverse family is one too); a default bundle that fails any
-    of the three raises ``InvariantError``.  A folded pair's induced
-    pseudoinverses are folds of a chain's per-degree ones, so there these
-    checks are the per-degree identities, block by block.  X = 0 passes the
-    last two, so only A X A = A refuses it.  Supplying custom quotient-level
-    inverses exercises the "any extensions" variant; they must actually be
-    generalized inverses of S~ and T~, and the two extra identities are
-    only recorded.  Each inverse X of A is multiplied by A once: X A X = X
-    is checked as (X A) X and A X A = A as A (X A).
+    Default mode takes the pseudoinverses the induced pair holds and checks
+    nothing: they were checked where they were taken (see ``InducedPair``).
+    Custom quotient-level inverses, the "any extensions" variant, must be
+    generalized inverses of S~ and T~, else ``PreconditionError``; the two
+    extra identities are only recorded.
     """
     ind = p.induced
     if (s_tilde_prime is None) != (t_tilde_prime is None):
         raise PreconditionError("supply both custom inverses or neither")
-    default = s_tilde_prime is None
-    if default:
+    if s_tilde_prime is None:
         s_tilde_prime, t_tilde_prime = ind.s_tilde_pinv, ind.t_tilde_pinv
-    xa_s = s_tilde_prime @ ind.s_tilde
-    xa_t = t_tilde_prime @ ind.t_tilde
-    normalized = xa_s @ s_tilde_prime == s_tilde_prime and xa_t @ t_tilde_prime == t_tilde_prime
-    chain_compatible = (s_tilde_prime @ t_tilde_prime).is_zero() and (
-        t_tilde_prime @ s_tilde_prime
-    ).is_zero()
-    if default and not normalized:
-        raise InvariantError("the pseudoinverses of the induced pair are not normalized")
-    if default and not chain_compatible:
-        raise InvariantError("the pseudoinverses of the induced pair do not compose to zero")
-    error, kind = (InvariantError, "default") if default else (PreconditionError, "custom")
-    if ind.s_tilde @ xa_s != ind.s_tilde:
-        raise error(f"{kind} s_tilde_prime is not a generalized inverse")
-    if ind.t_tilde @ xa_t != ind.t_tilde:
-        raise error(f"{kind} t_tilde_prime is not a generalized inverse")
+        normalized = chain_compatible = True
+    else:
+        custom = (s_tilde_prime, t_tilde_prime)
+        normalized, chain_compatible, bad = penrose_identities(
+            (ind.s_tilde, ind.t_tilde), custom, (custom, custom[::-1])
+        )
+        if bad is not None:
+            raise PreconditionError(f"custom {'st'[bad]}_tilde_prime is not a generalized inverse")
     s_prime = lift(s_tilde_prime, ind.q_y, ind.q_x)
     t_prime = lift(t_tilde_prime, ind.q_x, ind.q_y)
     return InverseBundle(

@@ -271,10 +271,36 @@ class TestComputedOnce:
         # d_1 d_2 = 0 with both maps nonzero: nothing is killed, so each
         # quotient Laplacian is the original one, formed once
         chain = ChainInstance.from_json_obj({"dims": [1, 2, 1], "maps": [[[0, 1]], [[1], [0]]]})
-        chain.defects, chain.quotient, chain.folded.extensions
+        chain.defects, chain.quotient
         products = record_operands(monkeypatch, "__matmul__")
         assert verify_theorem_4_4(chain).passed
         assert len(products) == 2 * len(chain.dims)
+
+    def test_theorem_4_4_builds_no_bundle(self, monkeypatch):
+        # each d~'_p it reads was checked when the quotient chain was built
+        calls = self.count_calls(monkeypatch, [(pairs, "build_extensions")])
+        for chain in map(replace, CHAINS):
+            assert verify_theorem_4_4(chain).passed
+        assert calls["build_extensions"] == []
+
+    def test_default_folded_bundle_only_lifts(self, monkeypatch):
+        # S~+ and T~+ are folds of per-degree inverses checked when the
+        # quotient chain was built, so the default bundle checks nothing on
+        # the folds: it multiplies only to lift them through the quotients
+        folds = [replace(c).folded for c in CHAINS]
+        for folded in folds:
+            folded.induced  # the per-degree checks run here, before recording
+        products = record_operands(monkeypatch, "__matmul__")
+        lifts = 0
+        for folded in folds:
+            products.clear()
+            folded.extensions
+            ind = folded.induced
+            lifting = [(q.section, q.projection) for q in (ind.q_x, ind.q_y)]
+            for a, b in products:
+                assert any(a is section or b is projection for section, projection in lifting)
+            lifts += len(products)
+        assert lifts
 
     def test_theorem_4_4_forms_quotient_laplacians_next_to_a_range(self, monkeypatch):
         # R(d_1 d_2) in X_0 and R(d_2 d_3) in X_1 are nonzero, so degrees 0,

@@ -300,6 +300,8 @@ class TestFuzz:
 
     # sha256 of the whole stdout: the bytes fuzz prints for a seed are a
     # contract, so a change that alters them the same way on every run fails.
+    # The runs span the regimes: the defaults, larger dimensions, a rank
+    # budget that leaves more composition ranges nonzero, and complexes only.
     PINNED = [
         (
             ["--seed", "1", "--count", "100"],
@@ -309,9 +311,41 @@ class TestFuzz:
             ["--seed", "3", "--count", "20", "--max-dim", "16"],
             "2d2b2fff31ee813cfbb479d4f7529f23f7f7ec04e8e66369285b1aff6f113884",
         ),
+        (
+            ["--seed", "1", "--count", "300"],
+            "30230b4ac3c1bb54bd0889ebdc2c2b14d61e86434bdc841ece1d639ecb39401a",
+        ),
+        (
+            ["--seed", "3", "--count", "10", "--max-dim", "32"],
+            "0b60c8dc0a686d85b00104b40ba83af2b9a95e32f59227de0118f4eaa63c1d30",
+        ),
+        (
+            ["--seed", "5", "--count", "200", "--rank-budget", "4"],
+            "2804c4d0eb340c8f3b32c19c32142b2f79d98ae818410febbdf0736714cfdabd",
+        ),
+        (
+            ["--seed", "7", "--count", "100", "--max-dim", "10"],
+            "3e64920172660d08a4baf0fd0f2f296f3193bf864a45569e68076e98b46d71c5",
+        ),
+        (
+            ["--seed", "9", "--count", "100", "--complex-only"],
+            "fe7dfa3450a4f233906cd4d0ea94c1ad1be05887b010d16a8e50f8bb4787a8fb",
+        ),
     ]
 
-    @pytest.mark.parametrize("flags, digest", PINNED, ids=["seed1-d6", "seed3-d16"])
+    @pytest.mark.parametrize(
+        "flags, digest",
+        PINNED,
+        ids=[
+            "seed1-d6",
+            "seed3-d16",
+            "seed1-d6-300",
+            "seed3-d32",
+            "seed5-budget4",
+            "seed7-d10",
+            "seed9-complex",
+        ],
+    )
     def test_output_bytes_are_pinned(self, tmp_path, capsys, monkeypatch, flags, digest):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run(capsys, ["fuzz", *flags])

@@ -12,6 +12,8 @@ nonzero composition range, so every pair and chain there quotients by
 something.
 """
 
+import hashlib
+import json
 import re
 from dataclasses import replace
 
@@ -28,6 +30,7 @@ from fredpairs import (
     verify_theorem_4_2,
     verify_theorem_4_4,
 )
+from fredpairs.cli import main
 from fredpairs.generators import GenConfig, random_chain, random_pair
 
 # The 19 named checks of the five verifiers.
@@ -305,6 +308,19 @@ def test_ranges_set_quotients_kill_the_composition_ranges():
 
 def test_unmutated_ranges_set_passes():
     assert failed_checks(RANGE_PAIRS, RANGE_CHAINS) == set()
+
+
+def test_ranges_set_verify_output_is_pinned(tmp_path, capsys):
+    # sha256 of the stdout of ``verify --all`` on every instance of the
+    # seed-71 set, in order: the quotient paths print the same bytes
+    path = tmp_path / "instance.json"
+    out = []
+    for instance in RANGE_PAIRS + RANGE_CHAINS:
+        path.write_text(json.dumps(instance.to_json_obj()))
+        assert main(["verify", "--all", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+    digest = "c517b4291f05396050aedbad4093964cd41721794dfdcaaba4b431b017d07be0"
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
 
 def test_every_check_is_flipped_or_unflippable():

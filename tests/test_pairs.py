@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fredpairs import (
+    ChainInstance,
     DimensionError,
     PairInstance,
     PreconditionError,
@@ -193,6 +194,20 @@ class TestBuildExtensions:
         # s_tilde = [1], so [1] is a valid inverse; t_tilde = [0] accepts anything
         b = build_extensions(p, s_tilde_prime=mat([[1]]), t_tilde_prime=mat([[5]]))
         assert b.s_prime == mat([[1], [0]])
+
+    @pytest.mark.parametrize("side", ["s", "t"])
+    def test_custom_inverse_must_be_a_generalized_inverse(self, side):
+        # a pair whose S~ and T~ are both nonzero, and the fold of a chain,
+        # whose default inverses the quotient chain checked, are alike here
+        pair = PairInstance(2, 2, mat([[1, 0], [0, 0]]), mat([[0, 0], [0, 1]]))
+        chain = ChainInstance.from_json_obj({"dims": [1, 2, 1], "maps": [[[0, 1]], [[1], [0]]]})
+        for p in (pair, chain.folded):
+            ind = p.induced
+            inverses = {"s_tilde_prime": ind.s_tilde_pinv, "t_tilde_prime": ind.t_tilde_pinv}
+            name = f"{side}_tilde_prime"
+            inverses[name] = RatMatrix.zero(inverses[name].rows, inverses[name].cols)
+            with pytest.raises(PreconditionError, match=f"custom {name} is not a generalized"):
+                build_extensions(p, **inverses)
 
     def test_custom_requires_both(self):
         with pytest.raises(PreconditionError):
