@@ -2,16 +2,18 @@
 
 The PRNG is splitmix64 (Steele/Lea/Flood constants), implemented on masked
 Python integers, so streams are identical across platforms and Python
-versions.  Instances are built so that the composition ranks dim R(ST),
-dim R(TS) (resp. consecutive-map composition ranks) stay within a configured
-budget; every constraint is re-checked by exact rank computation before an
-instance is emitted.
+versions.  A raw matrix draws each entry's numerator and then its
+denominator as plain ints and goes over the lcm of the denominators drawn;
+no ``Fraction`` is built.  Instances are built so that the composition
+ranks dim R(ST), dim R(TS) (resp. consecutive-map composition ranks) stay
+within a configured budget; every constraint is re-checked by exact rank
+computation before an instance is emitted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from .chains import ChainInstance
 from .errors import InvariantError, PreconditionError
@@ -51,11 +53,6 @@ class SplitMix64:
     def coin(self) -> bool:
         return bool(self.next_u64() & 1)
 
-    def fraction(self, entry_bound: int) -> Fraction:
-        num = self.randint(-entry_bound, entry_bound)
-        den = self.randint(1, entry_bound)
-        return Fraction(num, den)
-
 
 def child_seed(seed: int, ordinal: int) -> int:
     """Deterministic per-instance seed for parallel-safe fuzzing."""
@@ -83,9 +80,19 @@ class GenConfig:
 
 
 def _raw_matrix(rng: SplitMix64, entry_bound: int, rows: int, cols: int) -> RatMatrix:
-    return RatMatrix(
-        rows, cols, [[rng.fraction(entry_bound) for _ in range(cols)] for _ in range(rows)]
-    )
+    """A rows x cols matrix of entries num/den, drawn row by row, num first.
+
+    num lies in [-entry_bound, entry_bound] and den in [1, entry_bound].  The
+    entries go over the lcm of the denominators drawn, not of 1..entry_bound,
+    which grows exponentially with the bound, and are reduced once.
+    """
+    draws = [
+        [(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    den = lcm(*[d for row in draws for _, d in row])
+    num = [[n * (den // d) for n, d in row] for row in draws]
+    return RatMatrix._canonical(rows, cols, num, den)
 
 
 def _full_rank_matrix(rng: SplitMix64, entry_bound: int, rows: int, cols: int) -> RatMatrix:

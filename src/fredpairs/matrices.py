@@ -5,7 +5,8 @@ denominator ``den``, in canonical form: ``gcd(den, every entry of num) == 1``.
 The pair is then unique, so equality and hashing compare it directly, and the
 kernels and every operation run on Python ints with no tolerance anywhere.
 ``fractions.Fraction`` values are built only where the public API hands
-entries out (``entries``, indexing, JSON).  A linear map
+entries out (``entries``, indexing); JSON is encoded from the integer rows,
+each entry reduced against ``den`` by one gcd.  A linear map
 ``A: Q^n -> Q^m`` is stored as an m x n matrix acting on column vectors.
 
 One grid reader, ``_read_grid``, takes in every entry of the constructor and
@@ -94,6 +95,14 @@ def _encode_rat(value: Fraction | int):
     if value.denominator == 1:
         return int(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _encode_reduced(x: int, den: int):
+    """The JSON encoding of x/den, for den > 0, reduced by one gcd."""
+    g = gcd(x, den)
+    if g == den:
+        return _encode_rat(x // den)
+    return f"{x // g}/{den // g}"
 
 
 def _rescaled(m: "RatMatrix", den: int) -> list[list[int]]:
@@ -325,10 +334,14 @@ class RatMatrix:
     # -- JSON ---------------------------------------------------------
 
     def to_json_obj(self) -> list:
+        """The matrix JSON encoding: an int per integer entry, else "p/q".
+
+        Each entry x/den is reduced by one gcd; no Fraction is built.
+        """
         den = self.den
-        if den == 1:  # every entry is an int already; no Fraction is built
+        if den == 1:
             return [[_encode_rat(x) for x in row] for row in self.num]
-        return [[_encode_rat(Fraction(x, den)) for x in row] for row in self.num]
+        return [[_encode_reduced(x, den) for x in row] for row in self.num]
 
     @classmethod
     def from_json_obj(cls, obj, rows: int | None = None, cols: int | None = None) -> "RatMatrix":

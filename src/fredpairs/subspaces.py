@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, InvariantError, PreconditionError
-from .matrices import RatMatrix, _solve, vstack
+from .matrices import RatMatrix, RrefResult, _solve, vstack
 
 
 @dataclass(frozen=True)
@@ -96,21 +96,22 @@ class QuotientStructure:
         return self.projection.rows
 
 
-def _null_rows(a: RatMatrix) -> list[list[int]]:
-    """A basis of {x : Ax = 0} as integer rows, one per free column of rref(A).
+def _null_rows(result: RrefResult) -> list[list[int]]:
+    """A basis of {x : Ax = 0} as integer rows, one per free column of
+    ``result`` = rref(A): independent but not reduced.
 
     The vector of free column f is den at f, minus column f of the reduced
     rows at the pivots and zero elsewhere; scaling by den keeps it integral
-    and does not change the span.  The rows are independent but not reduced.
+    and does not change the span.  A reduced row is zero before its pivot,
+    so the vector is zero past f.
     """
-    result = a.rref()
     red, pivots = result.reduced, result.pivot_columns
     pivot_set = set(pivots)
     vectors = []
-    for free in range(a.cols):
+    for free in range(red.cols):
         if free in pivot_set:
             continue
-        v = [0] * a.cols
+        v = [0] * red.cols
         v[free] = red.den
         for r, p in enumerate(pivots):
             v[p] = -red.num[r][free]
@@ -119,11 +120,22 @@ def _null_rows(a: RatMatrix) -> list[list[int]]:
 
 
 def kernel_basis(a: RatMatrix) -> Subspace:
-    """The null space {x : Ax = 0} as a canonical subspace of the domain."""
-    if not a.rank:
+    """The null space {x : Ax = 0} as a canonical subspace of the domain.
+
+    It is read off one row reduction of A with its columns reversed.  In the
+    original column order each null vector of that rref leads at its own
+    free column with entry den and is zero at every other free column, so
+    the vectors, taken from the last free column to the first, are already
+    the reduced rows of the kernel's rref over den.  They are canonical
+    because the reduced rows are: den and the entries at the free columns
+    share no common factor.
+    """
+    reversed_a = RatMatrix._raw(a.rows, a.cols, [row[::-1] for row in a.num], a.den)
+    result = reversed_a.rref()
+    if not result.rank:
         return Subspace.full(a.cols)
-    vectors = _null_rows(a)
-    return Subspace.spanned_by(RatMatrix._raw(len(vectors), a.cols, vectors, 1))
+    rows = [v[::-1] for v in reversed(_null_rows(result))]
+    return Subspace(RatMatrix._raw(len(rows), a.cols, rows, result.reduced.den if rows else 1))
 
 
 def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
@@ -155,7 +167,7 @@ def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
         if not a.is_zero():
             raise InvariantError("the rref gives a nonzero matrix rank 0")
         return nullity - rank_b, 0
-    null = _null_rows(a)
+    null = _null_rows(a.rref())
     if null and not (RatMatrix._raw(nullity, n, null, 1) @ a.transpose()).is_zero():
         raise InvariantError("a null row of the rref is not in the null space")
     if not nullity or not rank_b:

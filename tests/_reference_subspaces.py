@@ -7,6 +7,9 @@ identical canonical subspace.
 ``stacked_defect_numbers`` counts the defects as ``defect_numbers`` did
 before it eliminated by the null rows: from the rank of the stack of the
 null rows of A and the pivot columns of B.
+``spanned_kernel_basis`` builds N(A) as ``kernel_basis`` did before it read
+the reduced rows off one row reduction of A with its columns reversed: from
+the null rows of rref(A), row-reduced a second time.
 ``push_image`` and ``complement`` build the images and complements in which
 the tests state the paper's transport identities; the package itself never
 needs them.
@@ -45,9 +48,17 @@ def stacked_defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
     """(dim N(A) - meet, dim R(B) - meet) by Grassmann's formula, with
     dim(N(A) + R(B)) the rank of [null rows of A; pivot columns of B]."""
     n = a.cols
-    rows = _null_rows(a) + [[row[c] for row in b.num] for c in b.rref().pivot_columns]
+    rows = _null_rows(a.rref()) + [[row[c] for row in b.num] for c in b.rref().pivot_columns]
     meet = n - a.rank + b.rank - RatMatrix._raw(len(rows), n, rows, 1).rank
     return n - a.rank - meet, b.rank - meet
+
+
+def spanned_kernel_basis(a: RatMatrix) -> Subspace:
+    """N(A) as the canonical span of the null rows of rref(A): two row reductions."""
+    if not a.rank:
+        return Subspace.full(a.cols)
+    vectors = _null_rows(a.rref())
+    return Subspace.spanned_by(RatMatrix._raw(len(vectors), a.cols, vectors, 1))
 
 
 def push_image(a: RatMatrix, u: Subspace) -> Subspace:

@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import fredpairs
 from fredpairs import (
     DimensionError,
     PairInstance,
@@ -351,6 +355,24 @@ class TestFuzz:
         code, out, _ = run(capsys, ["fuzz", *flags])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_a_large_entry_bound_stays_fast(self, tmp_path):
+        # Each raw matrix goes over the lcm of the denominators it drew; the
+        # lcm of 1..entry_bound has about 1.44 * entry_bound bits, so taking
+        # it instead would spend minutes on this run, which takes well under
+        # a second.
+        src = str(Path(fredpairs.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "fredpairs.cli", "fuzz", "--seed", "2", "--count", "20",
+             "--entry-bound", "1000000"],
+            capture_output=True,
+            timeout=20,
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert done.returncode == 0, done.stderr
+        digest = "446f42ea98147f8f68a1a77f80b43551af566ae80d99cf3953d5744ad7fbd826"
+        assert hashlib.sha256(done.stdout).hexdigest() == digest
 
 
 class TestPinv:

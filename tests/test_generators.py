@@ -1,8 +1,10 @@
+from fractions import Fraction
+
 import pytest
 
-from fredpairs import GenConfig, PreconditionError, random_chain, random_matrix, random_pair
+from fredpairs import GenConfig, PreconditionError, RatMatrix, random_chain, random_matrix, random_pair
 from fredpairs.chains import _down
-from fredpairs.generators import SplitMix64, child_seed
+from fredpairs.generators import SplitMix64, _raw_matrix, child_seed
 
 
 class TestConfig:
@@ -32,6 +34,27 @@ class TestRandomMatrix:
         cfg = GenConfig(seed=2, max_dim=6)
         with pytest.raises(PreconditionError):
             random_matrix(cfg, 2, 2, 3)
+
+
+def fraction_draws(rng, entry_bound, rows, cols):
+    """The raw matrix drawn as Fractions: numerator, then denominator, row by row."""
+    grid = [
+        [Fraction(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound)) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    return RatMatrix(rows, cols, grid)
+
+
+class TestRawMatrix:
+    @pytest.mark.parametrize("entry_bound", [1, 2, 3, 4, 5, 6, 7, 10**6])
+    @pytest.mark.parametrize("rows, cols", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (6, 6)])
+    def test_matches_the_fraction_draws(self, entry_bound, rows, cols):
+        for seed in range(4):
+            rng, ref_rng = SplitMix64(seed), SplitMix64(seed)
+            m = _raw_matrix(rng, entry_bound, rows, cols)
+            expected = fraction_draws(ref_rng, entry_bound, rows, cols)
+            assert (m.num, m.den) == (expected.num, expected.den)
+            assert rng.state == ref_rng.state  # the same number of draws
 
 
 class TestRandomPair:

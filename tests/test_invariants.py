@@ -89,9 +89,10 @@ def test_cli_exits_3(wrong_pseudoinverse, tmp_path, capsys):
 )
 def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, flags):
     # For A != 0, X = 2 A+ gives X A X = 4 A+ != X: not normalized.  On the
-    # chain the per-degree inverses still compose to zero, so quotient_chain
-    # passes them, and the folded pair's default bundle, which folds them,
-    # refuses them block by block.  Theorem 4.4 alone builds that bundle too.
+    # chain the per-degree inverses still compose to zero, but
+    # QuotientChain.__post_init__ checks each of them where it is taken and
+    # refuses them before any theorem reads them, so theorem 4.4 alone fails
+    # too.
     pseudoinverse = RatMatrix.pseudoinverse
 
     def doubled(self):
@@ -110,9 +111,9 @@ def test_scaled_pseudoinverse_exits_3(monkeypatch, tmp_path, capsys, instance, f
 
 @pytest.mark.parametrize("instance, flags", [(PAIR, []), (CHAIN, ["--thm42"])], ids=["pair", "chain"])
 def test_zero_pseudoinverse_exits_3(zero_pseudoinverse, tmp_path, capsys, instance, flags):
-    # On the chain the per-degree inverses are zero and compose to zero, so
-    # quotient_chain passes them, and the folded pair's default bundle, which
-    # folds them, refuses them block by block.
+    # On the chain the per-degree inverses are zero and compose to zero, but
+    # QuotientChain.__post_init__ checks each of them where it is taken and
+    # refuses them: a zero X fails A X A = A for A != 0.
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
     assert main(["verify", str(path), *flags]) == 3
@@ -125,7 +126,8 @@ def test_zero_pseudoinverse_exits_3(zero_pseudoinverse, tmp_path, capsys, instan
 def test_wrong_per_degree_inverses_exit_3(monkeypatch, tmp_path, capsys):
     # Only the quotient chain's own inverses are doubled; the extended ones,
     # which theorem 4.2 lifts and folds on the chain route, are left alone.
-    # The folded pair reads the doubled inverses, and its bundle refuses them.
+    # dataclasses.replace runs QuotientChain.__post_init__ again, which
+    # refuses the doubled inverses before the folded pair can read them.
     quotient_chain = chains.quotient_chain
 
     def doubled_inverses(c):

@@ -593,3 +593,36 @@ class TestParse:
         with pytest.raises(InputError) as built:
             RatMatrix(1, len(cells), [cells])
         assert repr(bad) in str(parsed.value) and repr(bad) in str(built.value)
+
+
+def fraction_json(m):
+    """The JSON encoding built from Fractions: an int where the denominator is 1."""
+    return [[int(e) if e.denominator == 1 else f"{e.numerator}/{e.denominator}" for e in row]
+            for row in m.entries]
+
+
+json_scalars = st.one_of(
+    scalars,
+    st.integers(-(2**130), 2**130).map(Fraction),  # integer-valued, often beside den > 1
+    st.sampled_from([Fraction(-4, 2), Fraction(6, 3), Fraction(0), Fraction(-1)]),
+)
+
+
+@st.composite
+def json_matrices(draw, max_dim=4):
+    rows, cols = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    cells = st.lists(json_scalars, min_size=cols, max_size=cols)
+    return RatMatrix(rows, cols, draw(st.lists(cells, min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_matrices())
+def test_json_encoding_matches_the_fraction_encoding(m):
+    assert m.to_json_obj() == fraction_json(m)
+
+
+def test_json_encoding_of_integers_beside_fractions():
+    big = 2**100 + 7
+    m = mat([[2, "1/2", 0, -3], [big, -big, "-6/4", "4/2"]])
+    assert m.den == 2
+    assert m.to_json_obj() == fraction_json(m) == [[2, "1/2", 0, -3], [big, -big, "-3/2", 2]]

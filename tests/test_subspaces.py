@@ -52,6 +52,11 @@ def maps(draw, rows, cols):
     return mat(draw(grid), cols=cols)
 
 
+@st.composite
+def any_shape_maps(draw, max_dim=6):
+    return draw(maps(draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))))
+
+
 def complement_construction(n, killed):
     """(projection, section) of Q^n / killed with no short-cut: C^T and (C C^T)^-1 C."""
     c = orthogonal_complement(killed).basis
@@ -99,6 +104,88 @@ class TestKernelAndImage:
         # the rref holds its nonzero rows only, so the basis is that matrix, not a copy
         for m in (mat([[2, 4], [1, 2]]), RatMatrix.zero(2, 3), RatMatrix.identity(2)):
             assert Subspace.spanned_by(m).basis is m.rref().reduced
+
+
+BIG = 2**100
+wide_entries = st.one_of(
+    entries,
+    st.integers(-3, 3).map(lambda k: BIG + k),
+    st.integers(-3, 3).map(lambda k: k - BIG),
+    st.integers(1, 3).map(lambda k: f"-1/{BIG + k}"),
+)
+
+
+@st.composite
+def patterned_maps(draw, max_dim=7):
+    """(A, pivots): A = G R with R reduced on the chosen pivot columns and G of
+    full column rank, so rref(A) pivots exactly there.
+
+    Free columns come first, last or between the pivots, as the pattern
+    falls; no pivot gives a zero matrix and no free column full column rank.
+    """
+    m, n = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    pattern = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pivots = [c for c in range(n) if pattern[c]][:m]
+    reduced = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = 1
+        for c in range(p + 1, n):
+            if c not in pivots:
+                row[c] = draw(wide_entries)
+        reduced.append(row)
+    r = len(pivots)
+    # upper triangular with a nonzero diagonal, then any rows: full column rank
+    g = [[0] * r for _ in range(r)]
+    for i in range(r):
+        g[i][i] = draw(st.sampled_from([1, -2, BIG + 1]))
+        for j in range(i + 1, r):
+            g[i][j] = draw(wide_entries)
+    g += [[draw(wide_entries) for _ in range(r)] for _ in range(m - r)]
+    g = draw(st.permutations(g)) if g else g
+    return mat(g, cols=r) @ mat(reduced, cols=n), tuple(pivots)
+
+
+def assert_kernel_matches_the_oracle(a):
+    k = kernel_basis(a)
+    expected = reference.spanned_kernel_basis(a)
+    assert (k.basis.num, k.basis.den) == (expected.basis.num, expected.basis.den)
+    assert k == expected
+    assert (a @ k.basis.transpose()).is_zero()
+    assert k.dim == a.cols - a.rank
+
+
+class TestKernelOracle:
+    """kernel_basis, read off one row reduction of A with its columns
+    reversed, equals the span of the null rows of rref(A) reduced again."""
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([], 3),  # 0 x n
+            ([[], [], []], 0),  # m x 0
+            ([[0, 0, 0], [0, 0, 0]], 3),  # zero
+            ([[1, 0, 2], [0, 1, 1], [3, 4, 0], [1, 1, 1]], 3),  # full column rank
+            ([[0, 1, 2], [0, 2, 4]], 3),  # the free column first
+            ([[1, 2, 0], [0, 1, 0]], 3),  # the free column last
+            ([[1, 2, 0, 3, 5], [0, 0, 1, 4, 6]], 5),  # free columns between pivots
+            ([[BIG, BIG + 1, 0], ["1/3", BIG - 1, 1]], 3),  # entries near 2^100
+        ],
+    )
+    def test_examples(self, rows, cols):
+        assert_kernel_matches_the_oracle(mat(rows, cols=cols))
+
+    @given(patterned_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_pivot_patterns(self, case):
+        a, pivots = case
+        assert a.rref().pivot_columns == pivots
+        assert_kernel_matches_the_oracle(a)
+
+    @given(any_shape_maps())
+    @settings(max_examples=300, deadline=None)
+    def test_random_maps(self, a):
+        assert_kernel_matches_the_oracle(a)
 
 
 @st.composite
