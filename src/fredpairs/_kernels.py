@@ -8,14 +8,23 @@ keeps track of the denominator.  ``BACKEND`` names this one backend.
 
 The elimination is fraction-free in the sense of E. H. Bareiss (1968),
 integer-preserving Gaussian elimination, but keeps entries small by dividing
-each updated row by the gcd of its entries rather than by the previous pivot:
-Bareiss' exact division would also rescale every row whose entry in the
-pivot column is already zero.
+rows by the gcd of their entries rather than by the previous pivot: Bareiss'
+exact division would also rescale every row whose entry in the pivot column
+is already zero.  Each pivot row is made primitive when it is chosen.  An
+updated row is divided by its gcd only once the bit lengths of the pivots
+used so far add up to more than ``RREF_BUDGET_BITS``; below that, the gcd
+and the division pass cost more than the growth they prevent.
 """
 
 from math import gcd
 
 BACKEND = "integer"
+
+# An update multiplies a row by at most its pivot, so while the pivots used
+# so far total at most this many bits, a row left unnormalised carries at
+# most this many extra bits until it leads or the final pass reduces it.
+# Without a budget, entries grow with the square of the rank.
+RREF_BUDGET_BITS = 512
 
 
 def rref_rows(rows, ncols):
@@ -27,12 +36,19 @@ def rref_rows(rows, ncols):
     gcd of its entries is 1) with a positive entry in column ``pivots[i]``.
     The input rows are not modified, but an output row may be an input row
     that needed no change.
+
+    Each pivot row is divided by the gcd of its entries when it is chosen.
+    The rows it updates are divided by theirs only once the pivots chosen so
+    far total more than ``RREF_BUDGET_BITS`` bits; the final pass makes
+    every output row primitive either way, so the budget never changes the
+    result.
     """
     # Scaling a row by a nonzero constant leaves the row space, hence the
     # rref, unchanged, which is why integer rows suffice.
     irows = list(rows)
     m = len(irows)
     pivots = []
+    spent = 0
     r = 0
     for c in range(ncols):
         for i in range(r, m):
@@ -40,22 +56,30 @@ def rref_rows(rows, ncols):
                 break
         else:
             continue
-        irows[r], irows[i] = irows[i], irows[r]
-        lead = irows[r]
+        lead = irows[i]
+        irows[i] = irows[r]
+        g = gcd(*lead)
+        if g > 1:
+            lead = [x // g for x in lead]
+        irows[r] = lead
         p = lead[c]
+        spent += p.bit_length()
+        normalise = spent > RREF_BUDGET_BITS
         for i in range(m):
             row = irows[i]
             f = row[c]
             if not f or i == r:
                 continue
             # (p/g) * row - (f/g) * lead clears column c and stays integral;
-            # dividing it by the gcd of its entries keeps them small.
+            # past the budget, dividing it by the gcd of its entries keeps
+            # them small.
             g = gcd(p, f)
             pg, fg = p // g, f // g
             new = [x * pg - y * fg for x, y in zip(row, lead)]
-            g = gcd(*new)
-            if g > 1:
-                new = [x // g for x in new]
+            if normalise:
+                g = gcd(*new)
+                if g > 1:
+                    new = [x // g for x in new]
             irows[i] = new
         pivots.append(c)
         r += 1

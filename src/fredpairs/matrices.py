@@ -132,10 +132,6 @@ class RankFactorization:
     left: "RatMatrix"
     right: "RatMatrix"
 
-    @property
-    def rank(self) -> int:
-        return self.right.rows
-
 
 class RatMatrix:
     """Immutable dense rational matrix: integer rows ``num`` over ``den``."""

@@ -8,6 +8,7 @@ compared with the reference, which runs on the same integers as
 """
 
 import copy
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_kernels as reference
-from fredpairs._kernels import mat_mul, rref_rows
+from fredpairs._kernels import RREF_BUDGET_BITS, mat_mul, rref_rows
 
 BIG = 2**200
 
@@ -135,3 +136,45 @@ def test_rref_results_are_primitive_integer_rows():
     assert all_ints(out)
     out, pivots = rref_rows([[0, -6, 4]], 3)
     assert (out, pivots) == ([[0, 3, -2]], [1])
+
+
+def random_grid(seed, rows, cols, bits):
+    rng = random.Random(seed)
+    return [[rng.randrange(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(rows)]
+
+
+# ``rref_rows`` divides an updated row by its gcd only once the bit lengths of
+# the pivots chosen so far add up to more than RREF_BUDGET_BITS.  The three
+# cases below spend that budget at the first pivot, part of the way through,
+# and never; each must give the reference's rref.
+
+
+def test_rref_budget_spent_at_the_first_pivot():
+    assert RREF_BUDGET_BITS == 512  # the bit counts below are against it
+    # Entries of about 600 bits.  The first row holds a 1, so it is already
+    # primitive and its pivot keeps 601 bits: the first pivot alone is over
+    # the budget, and every updated row is normalised.
+    grid = random_grid(1, 5, 6, 600)
+    grid[0][0], grid[0][5] = 2**600 + 1, 1
+    check_rref(grid, 6)
+    check_rref(grid[:3] + [[2 * x for x in grid[0]]], 6)
+
+
+def test_rref_budget_runs_out_midway():
+    # A dense full-rank 24 x 24 grid of entries of about 40 bits.  Its
+    # primitive pivots have 40, 79, 118, 151 and 193 bits, which add up to
+    # 388 bits after four pivots and 581 after five, so the first four
+    # pivots update rows without normalising them and the other twenty do.
+    check_rref(random_grid(24, 24, 24, 40), 24)
+
+
+def test_rref_budget_never_spent():
+    # Rank 6 from entries below 10: the pivots add up to 96 bits, so no
+    # updated row is normalised before the final pass.
+    rng = random.Random(6)
+    left = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(8)]
+    right = [[rng.randint(-9, 9) for _ in range(7)] for _ in range(6)]
+    product = reference.mat_mul(left, right, 8, 6, 7)
+    rows = [[int(x) for x in row] for row in product]
+    check_rref(rows, 7)
+    assert len(rref_rows(rows, 7)[1]) == 6

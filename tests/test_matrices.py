@@ -79,20 +79,20 @@ class TestAlgebra:
 class TestRankFactorization:
     def test_rank_one_outer_product(self):
         fact = mat([[1, 2], [2, 4]]).rank_factorization()
-        assert fact.rank == 1
+        assert fact.right.rows == 1
         assert fact.left == mat([[1], [2]])
         assert fact.right == mat([[1, 2]])
         assert fact.left @ fact.right == mat([[1, 2], [2, 4]])
 
     def test_identity(self):
         fact = RatMatrix.identity(3).rank_factorization()
-        assert fact.rank == 3
+        assert fact.right.rows == 3
         assert fact.left == RatMatrix.identity(3)
         assert fact.right == RatMatrix.identity(3)
 
     def test_zero(self):
         fact = RatMatrix.zero(2, 3).rank_factorization()
-        assert fact.rank == 0
+        assert fact.right.rows == 0
         assert fact.left.shape == (2, 0)
         assert fact.right.shape == (0, 3)
 
