@@ -20,7 +20,7 @@ from .errors import (
     PreconditionError,
 )
 from .generators import GenConfig, SplitMix64, random_chain, random_matrix, random_pair
-from .matrices import RankFactorization, RatMatrix, block, direct_sum, hstack, vstack
+from .matrices import RatMatrix, block, direct_sum, hstack, vstack
 from .pairs import (
     InducedPair,
     InverseBundle,

@@ -9,8 +9,8 @@ Subcommands:
 
 All standard output is JSON (one document, or one document per line in fuzz
 mode); diagnostics go to standard error.  Exit codes: 0 success / all checks
-passed, 1 a verification failed, 2 malformed input, 3 an internal invariant
-failed (a bug in the package).
+passed, 1 a verification failed, 2 malformed input or output that cannot be
+written, 3 an internal invariant failed (a bug in the package).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -184,16 +185,16 @@ def cmd_fuzz(args) -> int:
                 line["error"] = error
                 line["passed"] = False
             print(json.dumps(line))
-        if error is not None:
-            errors += 1
-            print(f"invariant failed in instance {ordinal}: {error}", file=sys.stderr)
-        if not line["passed"]:
-            failures += 1
-            if instance is not None:
-                directory = Path(args.failures_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                target = directory / f"instance_{args.seed}_{ordinal}.json"
-                target.write_text(json.dumps(line["instance"]), encoding="utf-8")
+            if error is not None:
+                errors += 1
+                print(f"invariant failed in instance {ordinal}: {error}", file=sys.stderr)
+            if not line["passed"]:
+                failures += 1
+                if instance is not None:
+                    directory = Path(args.failures_dir)
+                    directory.mkdir(parents=True, exist_ok=True)
+                    target = directory / f"instance_{args.seed}_{ordinal}.json"
+                    target.write_text(json.dumps(line["instance"]), encoding="utf-8")
     summary = {"count": args.count, "passed": args.count - failures, "failed": failures}
     if errors:
         summary["errors"] = errors
@@ -261,12 +262,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a write that fails is reported here, not at exit
+        return code
     except InvariantError as exc:
         print(f"invariant failed: {exc}", file=sys.stderr)
         return 3
     except FredpairsError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # stdout or --failures-dir cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself: the flush at exit writes the rest to os.devnull
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
         return 2
 
 

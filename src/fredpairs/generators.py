@@ -13,11 +13,10 @@ computation before an instance is emitted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from .chains import ChainInstance
 from .errors import InvariantError, PreconditionError
-from .matrices import RatMatrix
+from .matrices import RatMatrix, _over_lcm
 from .pairs import PairInstance
 from .subspaces import kernel_basis
 
@@ -83,16 +82,13 @@ def _raw_matrix(rng: SplitMix64, entry_bound: int, rows: int, cols: int) -> RatM
     """A rows x cols matrix of entries num/den, drawn row by row, num first.
 
     num lies in [-entry_bound, entry_bound] and den in [1, entry_bound].  The
-    entries go over the lcm of the denominators drawn, not of 1..entry_bound,
-    which grows exponentially with the bound, and are reduced once.
+    rows go over the lcm of the dens drawn (``_over_lcm``), not of 1..entry_bound.
     """
     draws = [
         [(rng.randint(-entry_bound, entry_bound), rng.randint(1, entry_bound)) for _ in range(cols)]
         for _ in range(rows)
     ]
-    den = lcm(*[d for row in draws for _, d in row])
-    num = [[n * (den // d) for n, d in row] for row in draws]
-    return RatMatrix._canonical(rows, cols, num, den)
+    return RatMatrix._raw(rows, cols, *_over_lcm(draws))
 
 
 def _full_rank_matrix(rng: SplitMix64, entry_bound: int, rows: int, cols: int) -> RatMatrix:

@@ -43,8 +43,8 @@ def _read_grid(grid: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     The strings are screened once, joined; each is then read by one
     ``partition("/")`` and two int() calls, so exactly -?[0-9]+(/-?[0-9]+)?
     with a nonzero denominator passes.  The int test is by exact type, so a
-    bool is refused.  The grid goes over the lcm of its denominators and is
-    reduced once.  A failure raises ``InputError`` naming an offending entry.
+    bool is refused.  The (numerator, denominator) pairs read go to
+    ``_over_lcm``.  A failure raises ``InputError`` naming an offending entry.
     """
     grid = [list(row) for row in grid]
     strings = [e for row in grid for e in row if isinstance(e, str)]
@@ -72,6 +72,11 @@ def _read_grid(grid: Iterable[Iterable]) -> tuple[list[list[int]], int]:
             else:
                 raise InputError(f"not an integer, 'p/q' string or Fraction: {e!r}")
         pairs.append(out)
+    return _over_lcm(pairs)
+
+
+def _over_lcm(pairs: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
+    """Rows of (n, d > 0) pairs as canonical integer rows over the lcm of the d."""
     den = lcm(*[d for row in pairs for _, d in row])
     if den == 1:
         return [[n for n, _ in row] for row in pairs], 1
@@ -105,12 +110,14 @@ def _encode_reduced(x: int, den: int):
     return f"{x // g}/{den // g}"
 
 
-def _rescaled(m: "RatMatrix", den: int) -> list[list[int]]:
-    """The rows of ``m`` over ``den``, a multiple of ``m.den``."""
-    f = den // m.den
-    if f == 1:
-        return m.num
-    return [[x * f for x in row] for row in m.num]
+def _aligned(mats: Sequence["RatMatrix"]) -> tuple[int, list[list[list[int]]]]:
+    """The lcm of the denominators of ``mats`` and each one's rows over it, canonical stacked."""
+    den = lcm(*[m.den for m in mats])
+    parts = []
+    for m in mats:
+        f = den // m.den
+        parts.append(m.num if f == 1 else [[x * f for x in row] for row in m.num])
+    return den, parts
 
 
 @dataclass(frozen=True)
@@ -123,14 +130,6 @@ class RrefResult:
     @property
     def rank(self) -> int:
         return len(self.pivot_columns)
-
-
-@dataclass(frozen=True)
-class RankFactorization:
-    """A = left * right with left of full column rank, right of full row rank."""
-
-    left: "RatMatrix"
-    right: "RatMatrix"
 
 
 class RatMatrix:
@@ -222,20 +221,14 @@ class RatMatrix:
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         self._require_same_shape(other)
-        den = lcm(self.den, other.den)
-        num = [
-            [x + y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(_rescaled(self, den), _rescaled(other, den))
-        ]
+        den, (left, right) = _aligned((self, other))
+        num = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
         return RatMatrix._canonical(self.rows, self.cols, num, den)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         self._require_same_shape(other)
-        den = lcm(self.den, other.den)
-        num = [
-            [x - y for x, y in zip(r1, r2)]
-            for r1, r2 in zip(_rescaled(self, den), _rescaled(other, den))
-        ]
+        den, (left, right) = _aligned((self, other))
+        num = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
         return RatMatrix._canonical(self.rows, self.cols, num, den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
@@ -284,19 +277,6 @@ class RatMatrix:
             raise DimensionError("only square matrices are invertible")
         return _solve(self, RatMatrix.identity(self.rows))
 
-    def rank_factorization(self) -> RankFactorization:
-        """Full rank factorization A = C * R from the rref of A.
-
-        C collects the pivot columns of A, and R is the reduced matrix of the
-        rref itself.  A zero matrix factors through rank 0 with empty factors.
-        """
-        result = self.rref()
-        pivots = result.pivot_columns
-        left = RatMatrix._canonical(
-            self.rows, len(pivots), [[row[c] for c in pivots] for row in self.num], self.den
-        )
-        return RankFactorization(left, result.reduced)
-
     def pseudoinverse(self) -> "RatMatrix":
         """The Moore-Penrose pseudoinverse, exact over Q, chosen by rank shape.
 
@@ -304,11 +284,11 @@ class RatMatrix:
         - full column rank: (A^T A)^-1 A^T, from one row reduction of
           [A^T A | A^T].  A square invertible A takes this branch too.
         - full row rank: A^T (A A^T)^-1, the transpose of (A A^T)^-1 A.
-        - otherwise, from the full rank factorization A = C R, as
-          R^T (R R^T)^-1 (C^T C)^-1 C^T in solve form: the two Gram matrices
-          are invertible because C and R have full rank, so (R R^T)^-1 R and
-          (C^T C)^-1 C^T each come from one row reduction and only one
-          product joins them.
+        - otherwise, from A = C R with C the pivot columns of A and R the
+          reduced rows of rref(A), as R^T (R R^T)^-1 (C^T C)^-1 C^T in solve
+          form: the two Gram matrices are invertible because C and R have
+          full rank, so (R R^T)^-1 R and (C^T C)^-1 C^T each come from one
+          row reduction and only one product joins them.
 
         The pseudoinverse is unique and a RatMatrix canonical, so every
         branch gives the matrix the general formula would.  The result
@@ -322,10 +302,10 @@ class RatMatrix:
             return _solve(t @ self, t)
         if rank == self.rows:
             return _solve(self @ self.transpose(), self).transpose()
-        fact = self.rank_factorization()
-        c, r = fact.left, fact.right
-        ct = c.transpose()
-        return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ c, ct)
+        result, t = self.rref(), self.transpose().num
+        r = result.reduced
+        ct = RatMatrix._canonical(rank, self.rows, [t[c] for c in result.pivot_columns], self.den)
+        return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ ct.transpose(), ct)
 
     # -- JSON ---------------------------------------------------------
 
@@ -404,8 +384,7 @@ def hstack(*mats: RatMatrix) -> RatMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionError("hstack requires equal row counts")
-    den = lcm(*[m.den for m in mats])
-    parts = [_rescaled(m, den) for m in mats]
+    den, parts = _aligned(mats)
     num = [[x for part in parts for x in part[i]] for i in range(rows)]
     return RatMatrix._raw(rows, sum(m.cols for m in mats), num, den)
 
@@ -416,31 +395,26 @@ def vstack(*mats: RatMatrix) -> RatMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionError("vstack requires equal column counts")
-    den = lcm(*[m.den for m in mats])
-    num = [row for m in mats for row in _rescaled(m, den)]
+    den, parts = _aligned(mats)
+    num = [row for part in parts for row in part]
     return RatMatrix._raw(sum(m.rows for m in mats), cols, num, den)
 
 
 def block(grid: Sequence[Sequence[RatMatrix]]) -> RatMatrix:
-    """Assemble a block matrix from a rectangular grid of blocks.
-
-    Every block is brought to the lcm of the denominators, which keeps the
-    result canonical: no gcd pass is needed.
-    """
+    """Assemble a block matrix from a rectangular grid of blocks."""
     return vstack(*[hstack(*row) for row in grid])
 
 
 def direct_sum(*mats: RatMatrix) -> RatMatrix:
     """The block-diagonal matrix with ``mats`` down its diagonal, in order.
 
-    Of no blocks it is the 0 x 0 matrix.  As in ``block``, every block is
-    brought to the lcm of the denominators, which keeps the result canonical.
+    Of no blocks it is the 0 x 0 matrix.
     """
     cols = sum(m.cols for m in mats)
-    den = lcm(*[m.den for m in mats])
+    den, parts = _aligned(mats)
     num, left = [], 0
-    for m in mats:
+    for m, part in zip(mats, parts):
         pad_left, pad_right = [0] * left, [0] * (cols - left - m.cols)
-        num.extend(pad_left + row + pad_right for row in _rescaled(m, den))
+        num.extend(pad_left + row + pad_right for row in part)
         left += m.cols
     return RatMatrix._raw(sum(m.rows for m in mats), cols, num, den)

@@ -14,7 +14,7 @@ matrices of deficient rank; every branch must give the matrix it gives.
 
 from fractions import Fraction
 
-from fredpairs.matrices import _solve
+from fredpairs.matrices import RatMatrix, _solve
 
 _ZERO = Fraction(0)
 
@@ -72,10 +72,13 @@ def pseudoinverse_two_solves(a):
     """The pseudoinverse of a ``RatMatrix`` of any rank and shape, from its full
     rank factorization A = C R as R^T (R R^T)^-1 (C^T C)^-1 C^T in solve form.
 
-    A zero matrix has empty factors, so the two solves are 0 x 0 and their
-    product is the zero matrix of the transposed shape.
+    C holds the pivot columns of A, read entry by entry, and R the reduced
+    rows of rref(A).  A zero matrix has empty factors, so the two solves are
+    0 x 0 and their product is the zero matrix of the transposed shape.
     """
-    fact = a.rank_factorization()
-    c, r = fact.left, fact.right
+    result = a.rref()
+    pivots = result.pivot_columns
+    c = RatMatrix(a.rows, len(pivots), [[a[i, j] for j in pivots] for i in range(a.rows)])
+    r = result.reduced
     ct = c.transpose()
     return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ c, ct)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -278,6 +279,40 @@ class TestFuzz:
         assert err.count("invariant failed in instance") == 3
         assert not failures.exists()
 
+    def test_failure_past_the_digit_limit_is_written(self, tmp_path, capsys, monkeypatch):
+        # The instance's entry has more digits than Python's default limit of
+        # 4300, so its failure file is encoded where the limit is lifted.
+        big = RatMatrix.from_rows([[10**5000]])
+        monkeypatch.setattr(
+            cli, "_fuzz_instance", lambda cfg, kind: PairInstance(1, 1, big, RatMatrix.zero(1, 1))
+        )
+        verify = cli.verify_theorem_3_4
+        monkeypatch.setattr(cli, "verify_theorem_3_4", lambda p: replace(verify(p), passed=False))
+        failures = tmp_path / "f"
+        code, out, err = run(
+            capsys, ["fuzz", "--seed", "2", "--count", "1", "--failures-dir", str(failures)]
+        )
+        assert (code, err) == (1, "")
+        line, summary = out.splitlines()
+        assert json.loads(summary) == {"summary": {"count": 1, "passed": 0, "failed": 1, "seed": 2}}
+        written = failures / "instance_2_0.json"
+        text = written.read_text(encoding="utf-8")
+        assert text == '{"dim_x": 1, "dim_y": 1, "s": [[1' + "0" * 5000 + ']], "t": [[0]]}'
+        assert f'"instance": {text}' in line
+
+    def test_failures_dir_that_is_a_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        verify = cli.verify_theorem_3_4
+        monkeypatch.setattr(cli, "verify_theorem_3_4", lambda p: replace(verify(p), passed=False))
+        not_a_dir = tmp_path / "f"
+        not_a_dir.write_text("", encoding="utf-8")
+        code, out, err = run(
+            capsys, ["fuzz", "--seed", "5", "--count", "1", "--failures-dir", str(not_a_dir)]
+        )
+        assert code == 2
+        assert json.loads(out)["passed"] is False  # the line came; the summary did not
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert not_a_dir.read_text(encoding="utf-8") == ""
+
     def test_empty_run(self, capsys):
         code, out, _ = run(capsys, ["fuzz", "--count", "0"])
         assert code == 0
@@ -373,6 +408,39 @@ class TestFuzz:
         assert done.returncode == 0, done.stderr
         digest = "446f42ea98147f8f68a1a77f80b43551af566ae80d99cf3953d5744ad7fbd826"
         assert hashlib.sha256(done.stdout).hexdigest() == digest
+
+
+class BrokenStdout:
+    """A stdout on descriptor ``fd`` whose every write and flush raises ``error``."""
+
+    def __init__(self, error, fd):
+        self.error, self.fd = error, fd
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize(
+    "error",
+    [BrokenPipeError(errno.EPIPE, "Broken pipe"), OSError(errno.ENOSPC, "No space left on device")],
+    ids=["broken-pipe", "disk-full"],
+)
+def test_unwritable_stdout_exits_2(tmp_path, capsys, monkeypatch, error):
+    # One error line and exit 2, as for bad input; the descriptor then points
+    # at os.devnull, so the interpreter's own flush at exit reports nothing.
+    with open(tmp_path / "stdout", "wb") as handle:
+        monkeypatch.setattr(sys, "stdout", BrokenStdout(error, handle.fileno()))
+        code = main(["fuzz", "--seed", "1", "--count", "2", "--failures-dir", str(tmp_path)])
+        monkeypatch.undo()
+        assert os.path.samestat(os.fstat(handle.fileno()), os.stat(os.devnull))
+    assert code == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {error}\n"
 
 
 class TestPinv:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import _reference_kernels as reference
 from fredpairs import DimensionError, InputError, RatMatrix, block, direct_sum, hstack, vstack
+from fredpairs import matrices
 from fredpairs._kernels import mat_mul, rref_rows
 from fredpairs.generators import GenConfig, SplitMix64, random_matrix
 from fredpairs.matrices import _solve
@@ -74,32 +75,6 @@ class TestAlgebra:
     def test_exact_fractions(self):
         a = mat([["1/3", "1/6"]])
         assert a[0, 0] + a[0, 1] == Fraction(1, 2)
-
-
-class TestRankFactorization:
-    def test_rank_one_outer_product(self):
-        fact = mat([[1, 2], [2, 4]]).rank_factorization()
-        assert fact.right.rows == 1
-        assert fact.left == mat([[1], [2]])
-        assert fact.right == mat([[1, 2]])
-        assert fact.left @ fact.right == mat([[1, 2], [2, 4]])
-
-    def test_identity(self):
-        fact = RatMatrix.identity(3).rank_factorization()
-        assert fact.right.rows == 3
-        assert fact.left == RatMatrix.identity(3)
-        assert fact.right == RatMatrix.identity(3)
-
-    def test_zero(self):
-        fact = RatMatrix.zero(2, 3).rank_factorization()
-        assert fact.right.rows == 0
-        assert fact.left.shape == (2, 0)
-        assert fact.right.shape == (0, 3)
-
-    def test_right_factor_is_the_reduced_matrix(self):
-        # the rref holds its nonzero rows only, so R is that matrix, not a copy
-        for m in (mat([[1, 2], [2, 4]]), RatMatrix.zero(2, 3), RatMatrix.identity(3)):
-            assert m.rank_factorization().right is m.rref().reduced
 
 
 def penrose_identities_hold(a, b):
@@ -273,6 +248,16 @@ PINV_BRANCHES = {
 }
 
 
+# How many times RatMatrix.pseudoinverse calls matrices._solve on each branch.
+PINV_SOLVES = {
+    "zero": 0,
+    "full_column_rank": 1,
+    "full_row_rank": 1,
+    "square_invertible": 1,
+    "rank_deficient": 2,
+}
+
+
 def pinv_branch(a):
     rank = a.rank
     if not rank:
@@ -297,13 +282,17 @@ class TestPseudoinverseBranches:
     def test_explicit_cases(self, monkeypatch, branch, a):
         assert pinv_branch(a) == branch
         expected = reference.pseudoinverse_two_solves(a)
-        if branch != "rank_deficient":
-            # the shortcuts never factor A
-            def refuse(self):
-                raise AssertionError("a full-rank or zero matrix was factored")
+        # the shortcuts solve once, or not at all for zero; only a deficient
+        # rank takes the two solves of the general formula
+        solves = []
 
-            monkeypatch.setattr(RatMatrix, "rank_factorization", refuse)
+        def counted(*args):
+            solves.append(args)
+            return _solve(*args)
+
+        monkeypatch.setattr(matrices, "_solve", counted)
         got = a.pseudoinverse()
+        assert len(solves) == PINV_SOLVES[branch]
         assert canonical(got)
         assert got == expected
         assert penrose_identities_hold(a, got)
