@@ -33,6 +33,7 @@ from .errors import DimensionError, InputError, InvariantError, PreconditionErro
 from .matrices import RatMatrix, direct_sum
 from .pairs import (
     InducedPair,
+    MAX_TOTAL_DIM,
     PairInstance,
     TheoremReport,
     _is_dimension,
@@ -142,6 +143,8 @@ class ChainInstance:
             raise InputError(f"chain JSON is missing key {exc}") from None
         if not isinstance(dims, list) or not dims or not all(map(_is_dimension, dims)):
             raise InputError("dims must be a nonempty list of nonnegative integers")
+        if sum(dims) > MAX_TOTAL_DIM:
+            raise InputError(f"the dims must total at most {MAX_TOTAL_DIM}")
         if not isinstance(maps, list) or len(maps) != len(dims) - 1:
             raise InputError("maps must list exactly one matrix per consecutive degree")
         parsed = [
@@ -320,19 +323,15 @@ def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
         "composition_defects_match": sum(defects.b)
         == p_defects.dim_range_st + p_defects.dim_range_ts,
     }
-    return TheoremReport(
-        name="remark_2_3",
-        passed=all(checks.values()),
-        details={
-            "chain_index": defects.index,
-            "pair_index": p_defects.index,
-            "euler_characteristic": euler,
-            "sum_b": sum(defects.b),
-            "dim_range_st": p_defects.dim_range_st,
-            "dim_range_ts": p_defects.dim_range_ts,
-            **checks,
-        },
-    )
+    values = {
+        "chain_index": defects.index,
+        "pair_index": p_defects.index,
+        "euler_characteristic": euler,
+        "sum_b": sum(defects.b),
+        "dim_range_st": p_defects.dim_range_st,
+        "dim_range_ts": p_defects.dim_range_ts,
+    }
+    return TheoremReport.of("remark_2_3", values, checks)
 
 
 def quotient_chain(c: ChainInstance) -> QuotientChain:
@@ -392,16 +391,12 @@ def verify_theorem_4_2(c: ChainInstance) -> TheoremReport:
         "even_matches_folded": e == bundle.s_plus,
         "odd_matches_folded": o == bundle.t_plus,
     }
-    return TheoremReport(
-        name="theorem_4_2",
-        passed=all(checks.values()),
-        details={
-            "chain_index": defects.index,
-            "index_even_operator": index_e,
-            "index_odd_operator": index_o,
-            **checks,
-        },
-    )
+    values = {
+        "chain_index": defects.index,
+        "index_even_operator": index_e,
+        "index_odd_operator": index_o,
+    }
+    return TheoremReport.of("theorem_4_2", values, checks)
 
 
 def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
@@ -447,8 +442,4 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
                 "rank_bound": killed_here + killed_below,
             }
         )
-    return TheoremReport(
-        name="theorem_4_4",
-        passed=all(checks.values()),
-        details={"degrees": degree_details, **checks},
-    )
+    return TheoremReport.of("theorem_4_4", {"degrees": degree_details}, checks)

@@ -24,20 +24,15 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .chains import (
-    ChainInstance,
-    chain_defects,
-    verify_remark_2_3,
-    verify_theorem_4_2,
-    verify_theorem_4_4,
-)
+from .chains import ChainInstance, verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4
 from .errors import FredpairsError, InputError, InvariantError
 from .generators import GenConfig, child_seed, random_chain, random_pair
 from .matrices import RatMatrix
-from .pairs import PairInstance, pair_defects, verify_theorem_3_4, verify_theorem_3_6
+from .pairs import PairInstance, verify_theorem_3_4, verify_theorem_3_6
 
 PAIR_CHECKS = ("thm34", "thm36")
-CHAIN_CHECKS = ("thm34", "thm36", "thm42", "thm44", "remark23")  # the order of the flags
+CHAIN_ONLY_CHECKS = ("thm42", "thm44", "remark23")
+CHAIN_CHECKS = PAIR_CHECKS + CHAIN_ONLY_CHECKS  # the order of the flags
 
 
 def _load_json(path: str):
@@ -106,14 +101,13 @@ def _reports(instance, checks) -> list:
 
 def cmd_pair_report(args) -> int:
     pair = PairInstance.from_json_obj(_load_json(args.file))
-    print(json.dumps(pair_defects(pair).to_json_obj()))
+    print(json.dumps(pair.defects.to_json_obj()))
     return 0
 
 
 def cmd_chain_report(args) -> int:
     chain = ChainInstance.from_json_obj(_load_json(args.file))
-    defects = chain_defects(chain)
-    obj = defects.to_json_obj()
+    obj = chain.defects.to_json_obj()
     obj["dims"] = list(chain.dims)
     obj["euler_characteristic"] = chain.euler_characteristic
     print(json.dumps(obj))
@@ -127,7 +121,7 @@ def cmd_verify(args) -> int:
     if args.all or not checks:
         checks = CHAIN_CHECKS if is_chain else PAIR_CHECKS
     # each requested check once, in the order of the flags
-    bad = [c for c in CHAIN_CHECKS if c in checks and c not in PAIR_CHECKS]
+    bad = [c for c in CHAIN_ONLY_CHECKS if c in checks]
     if bad and not is_chain:
         raise InputError(f"checks {bad} need a chain file, {args.file} holds a pair")
     reports = _reports(instance, checks)
@@ -167,7 +161,7 @@ def cmd_fuzz(args) -> int:
     for ordinal in range(args.count):
         seed = child_seed(cfg.seed, ordinal)
         kind = "pair" if ordinal % 2 == 0 else "chain"
-        checks = PAIR_CHECKS if kind == "pair" else ("remark23", "thm42", "thm44")
+        checks = PAIR_CHECKS if kind == "pair" else CHAIN_ONLY_CHECKS
         instance = error = None
         try:
             instance = _fuzz_instance(replace(cfg, seed=seed), kind)
@@ -239,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="verify randomly generated instances")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-dim", type=int, default=6, dest="max_dim")
-    p.add_argument("--rank-budget", type=int, default=2, dest="rank_budget")
-    p.add_argument("--entry-bound", type=int, default=5, dest="entry_bound")
+    # a field of a dataclass with a plain default reads that default on the class
+    p.add_argument("--max-dim", type=int, default=GenConfig.max_dim, dest="max_dim")
+    p.add_argument("--rank-budget", type=int, default=GenConfig.rank_budget, dest="rank_budget")
+    p.add_argument("--entry-bound", type=int, default=GenConfig.entry_bound, dest="entry_bound")
     p.add_argument("--complex-only", action="store_true", dest="complex_only")
     p.add_argument("--failures-dir", default="failures", dest="failures_dir")
     p.set_defaults(func=cmd_fuzz)

@@ -100,11 +100,10 @@ def _full_rank_matrix(rng: SplitMix64, entry_bound: int, rows: int, cols: int) -
             return m
 
 
-def random_matrix(cfg: GenConfig, rows: int, cols: int, rank: int, rng: SplitMix64 | None = None) -> RatMatrix:
+def random_matrix(cfg: GenConfig, rows: int, cols: int, rank: int, rng: SplitMix64) -> RatMatrix:
     """A matrix of exactly the requested rank (outer product of full-rank factors)."""
     if rank < 0 or rank > min(rows, cols):
         raise PreconditionError(f"rank {rank} infeasible for a {rows}x{cols} matrix")
-    rng = rng if rng is not None else cfg.rng()
     if rank == 0:
         return RatMatrix.zero(rows, cols)
     left = _full_rank_matrix(rng, cfg.entry_bound, rows, rank)
@@ -112,7 +111,7 @@ def random_matrix(cfg: GenConfig, rows: int, cols: int, rank: int, rng: SplitMix
     return left @ right
 
 
-def random_pair(cfg: GenConfig, rng: SplitMix64 | None = None) -> PairInstance:
+def random_pair(cfg: GenConfig, rng: SplitMix64) -> PairInstance:
     """A pair with both composition ranks within the budget.
 
     Built as a complex pair (ST = 0 and TS = 0 by construction) plus, unless
@@ -120,7 +119,6 @@ def random_pair(cfg: GenConfig, rng: SplitMix64 | None = None) -> PairInstance:
     both compositions by at most its own rank.  The resulting bounds are
     re-verified exactly.
     """
-    rng = rng if rng is not None else cfg.rng()
     dim_x = rng.randint(0, cfg.max_dim)
     dim_y = rng.randint(0, cfg.max_dim)
     t_rank = rng.randint(0, min(dim_x, dim_y)) if min(dim_x, dim_y) else 0
@@ -146,7 +144,7 @@ def random_pair(cfg: GenConfig, rng: SplitMix64 | None = None) -> PairInstance:
     return pair
 
 
-def random_chain(cfg: GenConfig, length: int, rng: SplitMix64 | None = None) -> ChainInstance:
+def random_chain(cfg: GenConfig, length: int, rng: SplitMix64) -> ChainInstance:
     """A chain with ``length`` maps whose consecutive composition ranks stay
     within the budget.
 
@@ -156,7 +154,6 @@ def random_chain(cfg: GenConfig, length: int, rng: SplitMix64 | None = None) -> 
     """
     if length < 1:
         raise PreconditionError("a chain needs at least one map")
-    rng = rng if rng is not None else cfg.rng()
     dims = [rng.randint(0, cfg.max_dim) for _ in range(length + 1)]
 
     maps: list[RatMatrix] = []

@@ -8,7 +8,7 @@ failed report signals an implementation bug, not a numerical issue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
@@ -29,6 +29,11 @@ def _is_dimension(d) -> bool:
     """Whether ``d`` is a dimension: a nonnegative int.  bool is a subclass of
     int, but True is not a dimension, so the type is tested exactly."""
     return type(d) is int and d >= 0
+
+
+# The largest total dimension an instance file may give: verify --all on a
+# chain of one degree this large takes seconds and a few hundred MB.
+MAX_TOTAL_DIM = 2048
 
 
 @dataclass(frozen=True)
@@ -92,6 +97,8 @@ class PairInstance:
             raise InputError(f"pair JSON is missing key {exc}") from None
         if not (_is_dimension(dim_x) and _is_dimension(dim_y)):
             raise InputError("dim_x and dim_y must be nonnegative integers")
+        if dim_x + dim_y > MAX_TOTAL_DIM:
+            raise InputError(f"dim_x + dim_y must be at most {MAX_TOTAL_DIM}")
         s = RatMatrix.from_json_obj(s_obj, rows=dim_y, cols=dim_x)
         t = RatMatrix.from_json_obj(t_obj, rows=dim_x, cols=dim_y)
         return cls(dim_x, dim_y, s, t)
@@ -108,15 +115,7 @@ class PairDefects:
     dim_range_ts: int
 
     def to_json_obj(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "index": self.index,
-            "dim_range_st": self.dim_range_st,
-            "dim_range_ts": self.dim_range_ts,
-        }
+        return dict(vars(self))  # the fields in the order they are declared
 
 
 @dataclass(frozen=True)
@@ -160,7 +159,13 @@ class InverseBundle:
 class TheoremReport:
     name: str
     passed: bool
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    @classmethod
+    def of(cls, name: str, values: dict, checks: dict) -> "TheoremReport":
+        """The report that passes when every check passes; its details are
+        the values followed by the checks."""
+        return cls(name, all(checks.values()), {**values, **checks})
 
     def to_json_obj(self) -> dict:
         encoded = {
@@ -367,21 +372,17 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
         "s_one_same_index": index_s_plus == index_s_one_plus,
         "finite_rank_difference": rank_diff <= rank_bound,
     }
-    return TheoremReport(
-        name="theorem_3_4",
-        passed=all(checks.values()),
-        details={
-            "index": defects.index,
-            "index_s_plus_t_prime": index_s_plus,
-            "index_t_plus_s_prime": index_t_plus,
-            "index_tilde_pair": tilde_index,
-            "index_s_one_plus_t_prime": index_s_one_plus,
-            "rank_s_minus_s_one": rank_diff,
-            "dim_range_st": defects.dim_range_st,
-            "dim_range_ts": defects.dim_range_ts,
-            **checks,
-        },
-    )
+    values = {
+        "index": defects.index,
+        "index_s_plus_t_prime": index_s_plus,
+        "index_t_plus_s_prime": index_t_plus,
+        "index_tilde_pair": tilde_index,
+        "index_s_one_plus_t_prime": index_s_one_plus,
+        "rank_s_minus_s_one": rank_diff,
+        "dim_range_st": defects.dim_range_st,
+        "dim_range_ts": defects.dim_range_ts,
+    }
+    return TheoremReport.of("theorem_3_4", values, checks)
 
 
 def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> TheoremReport:
@@ -422,18 +423,14 @@ def verify_theorem_3_6(p: PairInstance, b: InverseBundle | None = None) -> Theor
         checks["corrector_rank_bound"] = f.rank <= rank_bound
         checks["hodge_nullity_a"] = nullity_x == defects.a
         checks["hodge_nullity_c"] = nullity_y == defects.c
-    return TheoremReport(
-        name="theorem_3_6",
-        passed=all(checks.values()),
-        details={
-            "rank_corrector": f.rank,
-            "rank_bound": rank_bound,
-            "nullity_lap_x_tilde": nullity_x,
-            "nullity_lap_y_tilde": nullity_y,
-            "a": defects.a,
-            "c": defects.c,
-            "chain_compatible": b.chain_compatible,
-            "corrector": f,
-            **checks,
-        },
-    )
+    values = {
+        "rank_corrector": f.rank,
+        "rank_bound": rank_bound,
+        "nullity_lap_x_tilde": nullity_x,
+        "nullity_lap_y_tilde": nullity_y,
+        "a": defects.a,
+        "c": defects.c,
+        "chain_compatible": b.chain_compatible,
+        "corrector": f,
+    }
+    return TheoremReport.of("theorem_3_6", values, checks)

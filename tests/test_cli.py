@@ -43,16 +43,8 @@ class TestPairReport:
     def test_w2(self, tmp_path, capsys):
         code, out, err = run(capsys, ["pair-report", write(tmp_path, "w2.json", W2)])
         assert code == 0 and err == ""
-        report = json.loads(out)
-        assert report == {
-            "a": 0,
-            "b": 0,
-            "c": 0,
-            "d": 1,
-            "index": 1,
-            "dim_range_st": 0,
-            "dim_range_ts": 1,
-        }
+        # the keys print in the order PairDefects declares its fields
+        assert out == '{"a": 0, "b": 0, "c": 0, "d": 1, "index": 1, "dim_range_st": 0, "dim_range_ts": 1}\n'
 
     def test_zero_maps(self, tmp_path, capsys):
         obj = {"dim_x": 3, "dim_y": 1, "s": [[0, 0, 0]], "t": [[0], [0], [0]]}
@@ -82,6 +74,14 @@ class TestPairReport:
         code, out, err = run(capsys, ["pair-report", write(tmp_path, "bad.json", obj)])
         assert code == 2
         assert out == "" and "dim_x" in err
+
+    @pytest.mark.parametrize("dim_x, code", [(2048, 0), (2049, 2)])
+    def test_total_dimension_limit(self, tmp_path, capsys, dim_x, code):
+        obj = {"dim_x": dim_x, "dim_y": 0, "s": [], "t": [[]] * dim_x}
+        got, out, err = run(capsys, ["pair-report", write(tmp_path, "big.json", obj)])
+        assert got == code
+        if code == 2:
+            assert out == "" and err == "error: dim_x + dim_y must be at most 2048\n"
 
     @pytest.mark.parametrize("cell", ["1/0", "1/2/3", "x", True, 1.5, "1_0", "+3"])
     def test_bad_entries_rejected(self, tmp_path, capsys, cell):
@@ -121,6 +121,23 @@ class TestChainReport:
         code, out, err = run(capsys, ["chain-report", write(tmp_path, "bad.json", obj)])
         assert code == 2
         assert out == "" and "dims" in err
+
+    @pytest.mark.parametrize("top, code", [(2048, 0), (2049, 2)])
+    def test_total_dimension_limit(self, tmp_path, capsys, top, code):
+        path = write(tmp_path, "big.json", {"dims": [0, top], "maps": [[]]})
+        got, out, err = run(capsys, ["chain-report", path])
+        assert got == code
+        if code == 2:
+            assert out == "" and err == "error: the dims must total at most 2048\n"
+
+    @pytest.mark.parametrize("command", ["chain-report", "verify"])
+    def test_dimension_past_any_matrix_exits_2(self, tmp_path, capsys, command):
+        # 10**20 fits no matrix: the padding map RatMatrix.zero(10**20, 0)
+        # overflowed before the limit, a traceback with exit 1
+        path = write(tmp_path, "huge.json", {"dims": [0, 10**20], "maps": [[]]})
+        code, out, err = run(capsys, [command, path])
+        assert (code, out) == (2, "")
+        assert err == "error: the dims must total at most 2048\n"
 
 
 @pytest.mark.parametrize(

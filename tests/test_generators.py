@@ -20,20 +20,20 @@ class TestConfig:
 class TestRandomMatrix:
     def test_exact_rank(self):
         cfg = GenConfig(seed=2, max_dim=6)
-        assert random_matrix(cfg, 4, 4, 2).rank == 2
+        assert random_matrix(cfg, 4, 4, 2, cfg.rng()).rank == 2
 
     def test_rank_zero(self):
         cfg = GenConfig(seed=2, max_dim=6)
-        assert random_matrix(cfg, 3, 2, 0).is_zero()
+        assert random_matrix(cfg, 3, 2, 0, cfg.rng()).is_zero()
 
     def test_determinism(self):
         cfg = GenConfig(seed=99, max_dim=6)
-        assert random_matrix(cfg, 4, 5, 3) == random_matrix(cfg, 4, 5, 3)
+        assert random_matrix(cfg, 4, 5, 3, cfg.rng()) == random_matrix(cfg, 4, 5, 3, cfg.rng())
 
     def test_infeasible_rank(self):
         cfg = GenConfig(seed=2, max_dim=6)
         with pytest.raises(PreconditionError):
-            random_matrix(cfg, 2, 2, 3)
+            random_matrix(cfg, 2, 2, 3, cfg.rng())
 
 
 def fraction_draws(rng, entry_bound, rows, cols):
@@ -60,25 +60,28 @@ class TestRawMatrix:
 class TestRandomPair:
     def test_complex_only(self):
         for seed in range(5):
-            p = random_pair(GenConfig(seed=seed, max_dim=6, complex_only=True))
+            cfg = GenConfig(seed=seed, max_dim=6, complex_only=True)
+            p = random_pair(cfg, cfg.rng())
             assert (p.s @ p.t).is_zero()
             assert (p.t @ p.s).is_zero()
 
     def test_zero_budget_forces_complex(self):
         for seed in range(5):
-            p = random_pair(GenConfig(seed=seed, max_dim=6, rank_budget=0))
+            cfg = GenConfig(seed=seed, max_dim=6, rank_budget=0)
+            p = random_pair(cfg, cfg.rng())
             assert (p.s @ p.t).is_zero()
             assert (p.t @ p.s).is_zero()
 
     def test_budget_respected(self):
         for seed in range(10):
-            p = random_pair(GenConfig(seed=seed, max_dim=5, rank_budget=1))
+            cfg = GenConfig(seed=seed, max_dim=5, rank_budget=1)
+            p = random_pair(cfg, cfg.rng())
             assert (p.s @ p.t).rank <= 1
             assert (p.t @ p.s).rank <= 1
 
     def test_determinism(self):
         cfg = GenConfig(seed=12345, max_dim=6, rank_budget=2)
-        assert random_pair(cfg) == random_pair(cfg)
+        assert random_pair(cfg, cfg.rng()) == random_pair(cfg, cfg.rng())
 
     def test_non_complex_instances_occur(self):
         cfg = GenConfig(seed=8, max_dim=6, rank_budget=2)
@@ -91,28 +94,30 @@ class TestRandomPair:
 class TestRandomChain:
     def test_complex_only(self):
         cfg = GenConfig(seed=5, max_dim=5, complex_only=True)
-        c = random_chain(cfg, 4)
+        c = random_chain(cfg, 4, cfg.rng())
         assert not any(r.dim for r in c.composition_ranges)
 
     def test_budget_respected(self):
         for seed in range(8):
             cfg = GenConfig(seed=seed, max_dim=5, rank_budget=1)
-            c = random_chain(cfg, 4)
+            c = random_chain(cfg, 4, cfg.rng())
             down = _down(c.maps, c.dims)
             for p in range(1, c.top_degree):
                 assert (down[p] @ down[p + 1]).rank <= 1
 
     def test_length_one(self):
-        c = random_chain(GenConfig(seed=6, max_dim=5), 1)
+        cfg = GenConfig(seed=6, max_dim=5)
+        c = random_chain(cfg, 1, cfg.rng())
         assert c.top_degree == 1
 
     def test_length_validation(self):
         with pytest.raises(PreconditionError):
-            random_chain(GenConfig(seed=6, max_dim=5), 0)
+            cfg = GenConfig(seed=6, max_dim=5)
+            random_chain(cfg, 0, cfg.rng())
 
     def test_determinism(self):
         cfg = GenConfig(seed=777, max_dim=5)
-        assert random_chain(cfg, 3) == random_chain(cfg, 3)
+        assert random_chain(cfg, 3, cfg.rng()) == random_chain(cfg, 3, cfg.rng())
 
     def test_zero_dims_occur(self):
         cfg = GenConfig(seed=9, max_dim=3)

@@ -205,10 +205,12 @@ def test_generator_budgets(monkeypatch):
     cfg = GenConfig(seed=0, max_dim=4, rank_budget=0, complex_only=True)
     with pytest.raises(InvariantError):
         for seed in range(20):
-            random_pair(dataclasses.replace(cfg, seed=seed))
+            seeded = dataclasses.replace(cfg, seed=seed)
+            random_pair(seeded, seeded.rng())
     with pytest.raises(InvariantError):
         for seed in range(20):
-            random_chain(dataclasses.replace(cfg, seed=seed), 3)
+            seeded = dataclasses.replace(cfg, seed=seed)
+            random_chain(seeded, 3, seeded.rng())
 
 
 def test_checks_survive_optimized_python(tmp_path):

@@ -103,7 +103,7 @@ class TestInducedPair:
 
     def test_complex_pair_unchanged(self):
         cfg = GenConfig(seed=41, max_dim=5, complex_only=True)
-        p = random_pair(cfg)
+        p = random_pair(cfg, cfg.rng())
         ind = induced_pair(p)
         assert ind.s_tilde == p.s
         assert ind.t_tilde == p.t
