@@ -143,6 +143,8 @@ class ChainInstance:
             raise InputError(f"chain JSON is missing key {exc}") from None
         if not isinstance(dims, list) or not dims or not all(map(_is_dimension, dims)):
             raise InputError("dims must be a nonempty list of nonnegative integers")
+        if len(dims) > MAX_TOTAL_DIM:
+            raise InputError(f"a chain may have at most {MAX_TOTAL_DIM} degrees")
         if sum(dims) > MAX_TOTAL_DIM:
             raise InputError(f"the dims must total at most {MAX_TOTAL_DIM}")
         if not isinstance(maps, list) or len(maps) != len(dims) - 1:
@@ -190,7 +192,8 @@ class ChainDefects:
     index: int
 
     def to_json_obj(self) -> dict:
-        return {"a": list(self.a), "b": list(self.b), "d": list(self.d), "index": self.index}
+        # the fields in the order they are declared, each tuple as a list
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,7 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
 
 @dataclass(frozen=True)
 class FoldedPair(PairInstance):
-    """The pair a chain folds into, which reads its composition ranges,
+    """The pair a chain folds into, which takes its composition ranges,
     quotients, induced maps and their pseudoinverses from the chain.
 
     S and T are the folds of the padded d_0..d_{n+1}, so T S maps X_{p+2}
@@ -255,24 +258,16 @@ class FoldedPair(PairInstance):
     d~_p, d~_p d~_{p+1} = 0 and the Penrose identities of each d~'_p.
 
     ``chain`` is a copy of the chain that shares its per-degree objects
-    (``ChainInstance._sharing_copy``).  It is not compared, hashed or shown,
-    so a folded pair equals any other fold of an equal chain.
+    (``ChainInstance._sharing_copy``).  It and the folded ranges are not
+    compared, hashed or shown, so a folded pair equals any other fold of an
+    equal chain.
     """
 
     chain: ChainInstance = field(compare=False, repr=False)
-
-    def _folded_range(self, parity: int) -> Subspace:
-        return Subspace(direct_sum(*[r.basis for r in self.chain.composition_ranges][parity::2]))
-
-    @cached_property
-    def range_st(self) -> Subspace:
-        """R(ST), the direct sum of the chain's composition ranges at odd degrees."""
-        return self._folded_range(1)
-
-    @cached_property
-    def range_ts(self) -> Subspace:
-        """R(TS), the direct sum of the chain's composition ranges at even degrees."""
-        return self._folded_range(0)
+    # The folds of the chain's composition ranges at even and at odd degrees.
+    # A value in the instance's __dict__ shadows PairInstance's cached_property.
+    range_ts: Subspace = field(compare=False, repr=False)
+    range_st: Subspace = field(compare=False, repr=False)
 
     @cached_property
     def induced(self) -> InducedPair:
@@ -302,12 +297,13 @@ def fold_to_pair(c: ChainInstance) -> FoldedPair:
     """Pack even degrees into X, odd degrees into Y, with S and T the
     degree-lowering maps between them: ``_fold(_down(c.maps, c.dims))``.
 
-    The pair reads its composition ranges, quotients, induced maps and
-    their pseudoinverses from ``c``, through a copy that shares them; its
-    defects are derived from S and T, and its inverse extensions are lifted
-    through its folded quotients."""
+    Its composition ranges are the folds of ``c``'s, taken here.  The pair
+    reads its quotients, induced maps and their pseudoinverses from ``c``,
+    through a copy that shares them; its defects are derived from S and T,
+    and its inverse extensions are lifted through its folded quotients."""
     s, t = _fold(_down(c.maps, c.dims))
-    return FoldedPair(dim_x=s.cols, dim_y=s.rows, s=s, t=t, chain=c._sharing_copy())
+    range_ts, range_st = map(Subspace, _fold([r.basis for r in c.composition_ranges]))
+    return FoldedPair(s.cols, s.rows, s, t, c._sharing_copy(), range_ts, range_st)
 
 
 def verify_remark_2_3(c: ChainInstance) -> TheoremReport:

@@ -28,11 +28,12 @@ from .chains import ChainInstance, verify_remark_2_3, verify_theorem_4_2, verify
 from .errors import FredpairsError, InputError, InvariantError
 from .generators import GenConfig, child_seed, random_chain, random_pair
 from .matrices import RatMatrix
-from .pairs import PairInstance, verify_theorem_3_4, verify_theorem_3_6
+from .pairs import MAX_TOTAL_DIM, PairInstance, verify_theorem_3_4, verify_theorem_3_6
 
 PAIR_CHECKS = ("thm34", "thm36")
 CHAIN_ONLY_CHECKS = ("thm42", "thm44", "remark23")
 CHAIN_CHECKS = PAIR_CHECKS + CHAIN_ONLY_CHECKS  # the order of the flags
+MAX_CHAIN_MAPS = 5  # the most maps a fuzz chain draws
 
 
 def _load_json(path: str):
@@ -56,9 +57,6 @@ def _unlimited_int_digits():
     Input keeps the limit (see ``_load_json``), but a result computed from an
     accepted input can hold longer integers, and those must still print.
     """
-    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter with no limit
-        yield
-        return
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -135,7 +133,7 @@ def _fuzz_instance(cfg: GenConfig, kind: str):
     rng = cfg.rng()
     if kind == "pair":
         return random_pair(cfg, rng)
-    return random_chain(cfg, rng.randint(1, 5), rng)
+    return random_chain(cfg, rng.randint(1, MAX_CHAIN_MAPS), rng)
 
 
 def cmd_fuzz(args) -> int:
@@ -149,6 +147,10 @@ def cmd_fuzz(args) -> int:
     """
     if args.count < 0:
         raise InputError(f"--count must be nonnegative, got {args.count}")
+    # so that no chain of MAX_CHAIN_MAPS maps passes the readers' total dimension
+    max_dim = MAX_TOTAL_DIM // (MAX_CHAIN_MAPS + 1)
+    if args.max_dim > max_dim:
+        raise InputError(f"--max-dim must be at most {max_dim}, got {args.max_dim}")
     # checks the options once, whatever the count
     cfg = GenConfig(
         seed=args.seed,

@@ -96,10 +96,9 @@ def _reduced(num: list[list[int]], den: int) -> tuple[list[list[int]], int]:
     return num, den
 
 
-def _encode_rat(value: Fraction | int):
-    if value.denominator == 1:
-        return int(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _encode_rat(value: int) -> int:
+    """The JSON encoding of an integer entry, which is the int itself."""
+    return value
 
 
 def _encode_reduced(x: int, den: int):

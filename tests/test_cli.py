@@ -139,6 +139,48 @@ class TestChainReport:
         assert (code, out) == (2, "")
         assert err == "error: the dims must total at most 2048\n"
 
+    @pytest.mark.parametrize("degrees, code", [(2048, 0), (2049, 2)])
+    def test_degree_count_limit(self, tmp_path, capsys, degrees, code):
+        # zero-dimensional degrees pass the total-dimension limit, yet
+        # 200,000 of them took seconds and hundreds of MB to verify
+        obj = {"dims": [0] * degrees, "maps": [[]] * (degrees - 1)}
+        got, out, err = run(capsys, ["chain-report", write(tmp_path, "long.json", obj)])
+        assert got == code
+        if code == 2:
+            assert out == "" and err == "error: a chain may have at most 2048 degrees\n"
+
+
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("pair-report", [1, 2]),
+        ("chain-report", [1, 2]),
+        ("verify", [1, 2]),
+        ("pair-report", {"dim_x": 1, "dim_y": 1, "s": [[1]]}),
+        ("chain-report", {"dims": [1]}),
+        ("chain-report", {"dims": [1, 1], "maps": []}),
+    ],
+    ids=[
+        "pair-not-object",
+        "chain-not-object",
+        "verify-not-object",
+        "pair-missing-t",
+        "chain-missing-maps",
+        "chain-too-few-maps",
+    ],
+)
+def test_structural_refusals_exit_2(tmp_path, capsys, command, obj):
+    code, out, err = run(capsys, [command, write(tmp_path, "bad.json", obj)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["pair-report", "chain-report", "verify", "pinv"])
+def test_missing_file_exits_2(tmp_path, capsys, command):
+    code, out, err = run(capsys, [command, str(tmp_path / "absent.json")])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
 
 @pytest.mark.parametrize(
     "command, obj",
@@ -340,6 +382,17 @@ class TestFuzz:
         assert (code, out) == (2, "") and "--count" in err
 
     @pytest.mark.parametrize(
+        "max_dim, code", [("341", 0), ("342", 2), ("100000000000000000000", 2)]
+    )
+    def test_max_dim_limit(self, capsys, max_dim, code):
+        # 341 = 2048 // 6: a chain of five maps has six degrees of at most
+        # max_dim, so no instance passes the readers' total-dimension limit
+        got, out, err = run(capsys, ["fuzz", "--count", "0", "--max-dim", max_dim])
+        assert got == code
+        if code == 2:
+            assert out == "" and err == f"error: --max-dim must be at most 341, got {max_dim}\n"
+
+    @pytest.mark.parametrize(
         "flag, value, message",
         [
             ("--max-dim", "-1", "max_dim"),
@@ -483,9 +536,6 @@ class TestPinv:
         code, out, err = run(capsys, ["pinv", str(path)])
         assert (code, out) == (2, "") and err.startswith("error: ")
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "set_int_max_str_digits"), reason="no int-string digit limit"
-    )
     def test_result_past_the_digit_limit_printed(self, tmp_path, capsys):
         # 3000-digit entries are accepted; the inverse has entries of about
         # 6000 digits, past Python's default limit of 4300

@@ -123,6 +123,36 @@ def test_zero_pseudoinverse_exits_3(zero_pseudoinverse, tmp_path, capsys, instan
     assert "not a generalized inverse" in captured.err
 
 
+@pytest.mark.parametrize(
+    "instance, target, inverse, flags",
+    [
+        (PAIR, [[1, 0], [0, 0]], [[1, 1], [0, 0]], []),
+        (CHAIN, [[1], [0]], [[1, 1]], ["--thm42"]),
+        (CHAIN, [[1], [0]], [[1, 1]], ["--thm44"]),
+    ],
+    ids=["pair", "chain", "chain-thm44"],
+)
+def test_inverses_that_do_not_compose_to_zero_exit_3(
+    monkeypatch, tmp_path, capsys, instance, target, inverse, flags
+):
+    # One inverse is replaced by another normalized generalized inverse of
+    # its map, which passes X A X = X and A X A = A but not the products:
+    # on the pair S~' T~' != 0, and on the chain d~'_2 d~'_1 != 0.
+    pseudoinverse, target = RatMatrix.pseudoinverse, mat(target)
+
+    def other_inverse(self):
+        return mat(inverse) if self == target else pseudoinverse(self)
+
+    monkeypatch.setattr(RatMatrix, "pseudoinverse", other_inverse)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["verify", str(path), *flags]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invariant failed: ")
+    assert "do not compose to zero" in captured.err
+
+
 def test_wrong_per_degree_inverses_exit_3(monkeypatch, tmp_path, capsys):
     # Only the quotient chain's own inverses are doubled; the extended ones,
     # which theorem 4.2 lifts and folds on the chain route, are left alone.
