@@ -18,8 +18,8 @@ inverses that theorem 4.2 adds to S and T.  The folded composition ranges,
 quotients, induced maps and pseudoinverses are direct sums of the chain's
 per-degree ones (for the pseudoinverses by Penrose's uniqueness theorem,
 (+)A_p^+ = ((+)A_p)^+), so the folded pair takes them from the chain.  Only
-its defects are derived from the folded matrices themselves: remark 2.3
-compares them with the chain's, so they may not be built from those.  Its
+its defects, with its composition ranks b and d among them, are derived from
+the folded matrices: remark 2.3 compares them with the chain's.  Its
 inverse extensions are lifted through the folded quotients, and theorem 4.2
 compares them with the folds of the per-degree lifts.
 """
@@ -192,8 +192,7 @@ class ChainDefects:
     index: int
 
     def to_json_obj(self) -> dict:
-        # the fields in the order they are declared, each tuple as a list
-        return {k: list(v) if isinstance(v, tuple) else v for k, v in vars(self).items()}
+        return dict(vars(self))  # the fields in the order they are declared
 
 
 @dataclass(frozen=True)
@@ -253,8 +252,9 @@ class FoldedPair(PairInstance):
     padded induced maps d~_0..d~_{n+1}.  The pseudoinverse of a direct sum
     is the direct sum of the pseudoinverses, so S~+ and T~+ are the folds of
     the padded d~'_0..d~'_{n+1}.  All of them are canonical, so each equals
-    what the pair would derive from the folded matrices.  The induced pair's
-    own checks are direct sums of the chain's: the commuting square of each
+    what the pair would derive from the folded matrices; where nothing is
+    killed every d~_p is d_p, so S~, T~ equal S, T.  The induced pair's own
+    checks are direct sums of the chain's: the commuting square of each
     d~_p, d~_p d~_{p+1} = 0 and the Penrose identities of each d~'_p.
 
     ``chain`` is a copy of the chain that shares its per-degree objects
@@ -276,10 +276,7 @@ class FoldedPair(PairInstance):
         to the even ones, so it is S~+, as in ``verify_theorem_4_2``."""
         qc = self.chain.quotient
         q_dims = [q.quotient_dim for q in qc.quotients]
-        if self.range_st.dim or self.range_ts.dim:
-            s_tilde, t_tilde = _fold(_down(qc.maps_tilde, q_dims))
-        else:  # nothing is killed, so every d~_p is d_p and S~, T~ are S, T
-            s_tilde, t_tilde = self.s, self.t
+        s_tilde, t_tilde = _fold(_down(qc.maps_tilde, q_dims))
         s_tilde_pinv, t_tilde_pinv = _fold(_up(qc.inverses_tilde, q_dims))
         projections = _fold([q.projection for q in qc.quotients])
         sections = _fold([q.section for q in qc.quotients])

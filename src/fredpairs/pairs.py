@@ -184,9 +184,10 @@ def pair_defects(p: PairInstance) -> PairDefects:
     (a, b) = ``defect_numbers(S, T)`` and (c, d) = ``defect_numbers(T, S)``
     count each meet by Grassmann's formula from ranks alone: those of S and
     T and of the product of the reduced rows of one with the pivot columns
-    of the other, with no canonical basis of N(S), R(T), N(T) or R(S).  The
-    defects never read the composition ranges, which are reported beside
-    them.
+    of the other, with no canonical basis of N(S), R(T), N(T) or R(S).
+    S restricted to R(T) has kernel N(S) & R(T) and image R(ST), so b is
+    dim R(ST), and likewise d is dim R(TS).  These are the composition ranks
+    reported, so neither composition range is read and S T, T S are not formed.
     """
     a, b = defect_numbers(p.s, p.t)
     c, d = defect_numbers(p.t, p.s)
@@ -196,8 +197,8 @@ def pair_defects(p: PairInstance) -> PairDefects:
         c=c,
         d=d,
         index=a - b - c + d,
-        dim_range_st=p.range_st.dim,
-        dim_range_ts=p.range_ts.dim,
+        dim_range_st=b,
+        dim_range_ts=d,
     )
 
 
@@ -344,10 +345,11 @@ def verify_theorem_3_4(p: PairInstance) -> TheoremReport:
       4. index(S + T') = index(S1 + T') where S1 lifts S~ and vanishes on
          R(TS); rank(S - S1) <= dim R(ST) + dim R(TS)
 
-    An m x n matrix has index n - m, so all but ``finite_rank_difference``
-    are shape-determined once the defects obey rank-nullity.  For the same
-    reason ind(S~, T~) is read from the quotient dimensions,
-    dim X/R(TS) - dim Y/R(ST); the quotient pair's defects are not derived.
+    An m x n matrix has index n - m, so checks 1, 2 and the first half of 4
+    are shape-determined once the defects obey rank-nullity.  ind(S~, T~) is read
+    from the quotient dimensions, dim X/R(TS) - dim Y/R(ST), so check 3
+    compares b - d, the composition ranks that the defects count, with
+    dim R(ST) - dim R(TS) of the quotients; no defect of S~, T~ is derived.
     """
     defects, ind, bundle = p.defects, p.induced, p.extensions
     # nullity - corank = (cols - r) - (rows - r) for every rank r, so no rank can change these

@@ -46,6 +46,23 @@ class TestPairReport:
         # the keys print in the order PairDefects declares its fields
         assert out == '{"a": 0, "b": 0, "c": 0, "d": 1, "index": 1, "dim_range_st": 0, "dim_range_ts": 1}\n'
 
+    def test_forms_no_composition(self, tmp_path, capsys, monkeypatch):
+        # b and d are the composition ranks, so neither S T nor T S is formed
+        obj = {"dim_x": 3, "dim_y": 2, "s": [[1, 0, 0], [0, 0, 0]], "t": [[1, 0], [1, 1], [0, 0]]}
+        pair = PairInstance.from_json_obj(obj)
+        operands = []
+        matmul = RatMatrix.__matmul__
+
+        def recording(a, b):
+            operands.append((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(RatMatrix, "__matmul__", recording)
+        code, out, _ = run(capsys, ["pair-report", write(tmp_path, "p.json", obj)])
+        report = json.loads(out)
+        assert code == 0 and (report["dim_range_st"], report["dim_range_ts"]) == (1, 1)
+        assert (pair.s, pair.t) not in operands and (pair.t, pair.s) not in operands
+
     def test_zero_maps(self, tmp_path, capsys):
         obj = {"dim_x": 3, "dim_y": 1, "s": [[0, 0, 0]], "t": [[0], [0], [0]]}
         code, out, _ = run(capsys, ["pair-report", write(tmp_path, "z.json", obj)])

@@ -9,20 +9,40 @@ sizes the sympy oracle reaches.
   T^t S^t = (ST)^t keeps the composition-range dimensions.
 - **Chain duality.** Reversing the degrees and transposing every map gives a
   chain whose a_p and b_p are those of degree n - p.
+- **Signed permutations.** A change of the basis of every space by a signed
+  permutation keeps every number the reports print.  A signed permutation
+  is orthogonal, so orthogonal complements and Moore-Penrose inverses
+  commute with it, and the printed values do not depend on the basis of a
+  quotient.  Theorem 3.6's corrector F becomes W F W^t, with W the change
+  of basis of X (+) Y.
 
 Each relation compares two runs of the same code, so a fault that keeps the
 relation (one that is symmetric under duality) passes it; the verifiers'
 own checks and ``tests/test_mutations.py`` cover those.  ``meet_one_short``
-is not symmetric, and the relations flag it.
+is not symmetric, and the dualities flag it; a swapped direct sum and a lift
+through the transposed section do not commute with a change of basis, and
+the signed permutations flag them.
 """
 
 from dataclasses import replace
 
-from fredpairs import ChainInstance, PairInstance
-from fredpairs.cli import MAX_CHAIN_MAPS
-from fredpairs.generators import GenConfig, random_chain, random_pair
+import pytest
 
-from test_mutations import MUTATIONS
+from fredpairs import (
+    ChainInstance,
+    PairInstance,
+    RatMatrix,
+    direct_sum,
+    verify_remark_2_3,
+    verify_theorem_3_4,
+    verify_theorem_3_6,
+    verify_theorem_4_2,
+    verify_theorem_4_4,
+)
+from fredpairs.cli import MAX_CHAIN_MAPS
+from fredpairs.generators import GenConfig, SplitMix64, random_chain, random_pair
+
+from test_mutations import MUTATIONS, UNEQUAL_PAIRS
 
 
 def _stream(max_dim, rank_budget, count=40):
@@ -80,3 +100,85 @@ def test_relations_flag_meet_one_short(monkeypatch):
     assert any(isinstance(i, PairInstance) for i in bad)
     assert any(isinstance(i, ChainInstance) for i in bad)
 
+
+def test_pair_duality_on_unequal_ranks():
+    # the fuzz streams have no pair with dim R(ST) != dim R(TS)
+    assert all(dual_pair(pair).defects == pair.defects for pair in UNEQUAL_PAIRS)
+
+
+def signed_permutation(n, rng) -> RatMatrix:
+    """A random n x n signed permutation matrix."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        order[i], order[j] = order[j], order[i]
+    signs = [1 if rng.coin() else -1 for _ in range(n)]
+    return RatMatrix.from_rows(
+        [[signs[r] * (c == order[r]) for c in range(n)] for r in range(n)], cols=n
+    )
+
+
+def pair_reports(p: PairInstance):
+    return p.defects, [verify_theorem_3_4(p), verify_theorem_3_6(p)]
+
+
+def chain_reports(c: ChainInstance):
+    reports = [verify_remark_2_3(c), verify_theorem_4_2(c), verify_theorem_4_4(c)]
+    return c.defects, reports + pair_reports(c.folded)[1]
+
+
+def moves_as_a_basis_change(before, after, blocks) -> bool:
+    """Whether the (defects, reports) ``after`` a change of basis by the
+    direct sum W of ``blocks`` are those ``before``, but for each corrector F
+    that becomes W F W^t."""
+    w = direct_sum(*blocks)
+    (defects, reports), (moved_defects, moved_reports) = before, after
+    if defects != moved_defects or len(reports) != len(moved_reports):
+        return False
+    for report, moved in zip(reports, moved_reports):
+        details, moved_details = dict(report.details), dict(moved.details)
+        if "corrector" in details:
+            f = details.pop("corrector")
+            if moved_details.pop("corrector") != w @ f @ w.transpose():
+                return False
+        if (report.name, report.passed, details) != (moved.name, moved.passed, moved_details):
+            return False
+    return True
+
+
+def permutation_violations(streams) -> list:
+    """The instances of ``streams`` whose defects and reports break the
+    relation under a random signed permutation of the basis of every space.
+    Each instance is copied first, so everything is derived afresh."""
+    rng = SplitMix64(9)
+    bad = []
+    for fuzz_pairs, fuzz_chains in streams:
+        for pair in map(replace, fuzz_pairs):
+            w_x, w_y = signed_permutation(pair.dim_x, rng), signed_permutation(pair.dim_y, rng)
+            s, t = w_y @ pair.s @ w_x.transpose(), w_x @ pair.t @ w_y.transpose()
+            moved = PairInstance(pair.dim_x, pair.dim_y, s, t)
+            if not moves_as_a_basis_change(pair_reports(pair), pair_reports(moved), [w_x, w_y]):
+                bad.append(pair)
+        for chain in map(replace, fuzz_chains):
+            ws = [signed_permutation(d, rng) for d in chain.dims]
+            maps = (ws[p - 1] @ m @ ws[p].transpose() for p, m in enumerate(chain.maps, start=1))
+            moved = ChainInstance(chain.dims, tuple(maps))
+            # the folded pair puts the even degrees into X and the odd ones into Y
+            blocks = ws[0::2] + ws[1::2]
+            if not moves_as_a_basis_change(chain_reports(chain), chain_reports(moved), blocks):
+                bad.append(chain)
+    return bad
+
+
+def test_signed_permutations_keep_the_reports():
+    # every verifier runs on both sides, so only the first 20 pairs and 20
+    # chains of each stream are taken; all 40 of each also hold
+    assert permutation_violations([(p[:20], c[:20]) for p, c in STREAMS]) == []
+
+
+@pytest.mark.parametrize("name", ["pair_direct_sum_swapped", "lift_section_transpose"])
+def test_signed_permutations_flag(monkeypatch, name):
+    targets, mutate, _ = MUTATIONS[name]
+    for module, attribute in targets:
+        monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    assert permutation_violations(STREAMS[:1])

@@ -9,7 +9,8 @@ so each flip is the mutation's doing.
 In the first set (seed 61) most instances are complexes, where the quotient
 machinery is the identity.  Every instance of the second (seed 71) has a
 nonzero composition range, so every pair and chain there quotients by
-something.
+something.  A fuzz pair almost never has dim R(ST) != dim R(TS), so a third
+set of plain pairs has them unequal by construction.
 """
 
 import hashlib
@@ -20,6 +21,8 @@ from dataclasses import replace
 import pytest
 
 from fredpairs import (
+    PairInstance,
+    RatMatrix,
     Subspace,
     chains,
     image_basis,
@@ -31,7 +34,7 @@ from fredpairs import (
     verify_theorem_4_4,
 )
 from fredpairs.cli import main
-from fredpairs.generators import GenConfig, random_chain, random_pair
+from fredpairs.generators import GenConfig, SplitMix64, random_chain, random_pair
 
 # The 19 named checks of the five verifiers.
 CHECKS = frozenset(
@@ -84,8 +87,55 @@ def _ranges_set():
     return fuzz_pairs, fuzz_chains
 
 
+def _shear(n, i, j, k) -> RatMatrix:
+    """I + k e_i e_j^t on Q^n; for i != j its inverse is I - k e_i e_j^t."""
+    return RatMatrix.from_rows(
+        [[int(r == c) + k * ((r, c) == (i, j)) for c in range(n)] for r in range(n)]
+    )
+
+
+def _basis_change(n, rng):
+    """A product P of 2n random shears on Q^n, and its inverse."""
+    p = p_inv = RatMatrix.identity(n)
+    for _ in range(2 * n if n > 1 else 0):
+        i = rng.below(n)
+        j = (i + 1 + rng.below(n - 1)) % n
+        k = rng.randint(-3, 3)
+        p, p_inv = p @ _shear(n, i, j, k), _shear(n, i, j, -k) @ p_inv
+    return p, p_inv
+
+
+def _unit(rows, cols, i, j) -> RatMatrix:
+    """The rows x cols matrix e_i e_j^t."""
+    return RatMatrix.from_rows(
+        [[int((r, c) == (i, j)) for c in range(cols)] for r in range(rows)]
+    )
+
+
+def _unequal_ranks_set():
+    """12 plain pairs with dim R(ST) != dim R(TS).  S = e_1 e_1^t and
+    T = e_2 e_1^t give ST = 0 and TS = e_2 e_1^t, and the two swapped give
+    the ranks swapped; each is taken to random bases of X and Y, as
+    Q S P^-1 and P T Q^-1, which keep both composition ranks."""
+    rng = SplitMix64(83)
+    unequal = []
+    for k in range(12):
+        big, small = rng.randint(2, 6), rng.randint(1, 6)
+        if k % 2 == 0:  # dim R(TS) = 1
+            dim_x, dim_y = big, small
+            s, t = _unit(dim_y, dim_x, 0, 0), _unit(dim_x, dim_y, 1, 0)
+        else:  # dim R(ST) = 1
+            dim_x, dim_y = small, big
+            s, t = _unit(dim_y, dim_x, 1, 0), _unit(dim_x, dim_y, 0, 0)
+        p, p_inv = _basis_change(dim_x, rng)
+        q, q_inv = _basis_change(dim_y, rng)
+        unequal.append(PairInstance(dim_x, dim_y, q @ s @ p_inv, p @ t @ q_inv))
+    return unequal
+
+
 PAIRS, CHAINS = _fuzz_set()
 RANGE_PAIRS, RANGE_CHAINS = _ranges_set()
+UNEQUAL_PAIRS = _unequal_ranks_set()
 
 
 def failed_checks(fuzz_pairs=PAIRS, fuzz_chains=CHAINS) -> set[str]:
@@ -183,6 +233,19 @@ def swap_same_shape(direct_sum):
     return wrong
 
 
+def ranges_swapped(pair_defects):
+    """Report dim R(ST) as dim R(TS) and the other way round, which only a
+    pair whose two composition ranks differ can show."""
+
+    def wrong(p):
+        defects = pair_defects(p)
+        return replace(
+            defects, dim_range_st=defects.dim_range_ts, dim_range_ts=defects.dim_range_st
+        )
+
+    return wrong
+
+
 # name -> (module globals to replace, mutation of the original, checks it
 # flips on the seed-61 set)
 MUTATIONS = {
@@ -191,6 +254,7 @@ MUTATIONS = {
         meet_one_short,
         {
             "composition_defects_match",
+            "intermediate_identity",
             "nullity_matches_a",
             "hodge_nullity_a",
             "hodge_nullity_c",
@@ -260,6 +324,12 @@ MUTATIONS = {
         swap_same_shape,
         {"block_diagonal", "corrector_rank_bound"},
     ),
+    # on the seed-61 and seed-71 sets only some folded chains have b != d
+    "pair_ranges_swapped": (
+        [(pairs, "pair_defects")],
+        ranges_swapped,
+        {"intermediate_identity"},
+    ),
 }
 
 # The checks each mutation flips on the seed-71 set.  They are those of the
@@ -321,6 +391,19 @@ def test_ranges_set_verify_output_is_pinned(tmp_path, capsys):
         out.append(capsys.readouterr().out)
     digest = "c517b4291f05396050aedbad4093964cd41721794dfdcaaba4b431b017d07be0"
     assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
+
+def test_unequal_set_has_unequal_ranks_and_passes():
+    assert {(pair.range_st.dim, pair.range_ts.dim) for pair in UNEQUAL_PAIRS} == {(0, 1), (1, 0)}
+    assert failed_checks(UNEQUAL_PAIRS, []) == set()
+
+
+def test_ranges_swapped_flips_the_intermediate_identity_of_a_plain_pair(monkeypatch):
+    targets, mutate, _ = MUTATIONS["pair_ranges_swapped"]
+    for module, attribute in targets:
+        monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
+    assert failed_checks(UNEQUAL_PAIRS, []) == {"intermediate_identity"}
+    assert failed_checks(UNEQUAL_PAIRS[:1], []) == {"intermediate_identity"}
 
 
 def test_every_check_is_flipped_or_unflippable():

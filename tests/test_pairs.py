@@ -23,6 +23,7 @@ from fredpairs.generators import GenConfig, random_pair
 
 from _reference_subspaces import complement, push_image
 from conftest import mat
+from test_mutations import UNEQUAL_PAIRS
 
 
 def w2():
@@ -71,6 +72,18 @@ class TestPairDefects:
             assert d.b == d.dim_range_st
             assert d.d == d.dim_range_ts
             assert d.index == p.dim_x - p.dim_y
+
+    @pytest.mark.parametrize("max_dim, rank_budget", [(6, 2), (16, 4)])
+    def test_composition_ranks_are_those_of_the_products(self, max_dim, rank_budget):
+        # b and d are reported as dim R(ST) and dim R(TS); check both
+        # against the products, here formed on purpose
+        cfg = GenConfig(seed=37, max_dim=max_dim, rank_budget=rank_budget)
+        rng = cfg.rng()
+        fuzz_pairs = [random_pair(cfg, rng) for _ in range(100)]
+        for p in fuzz_pairs + UNEQUAL_PAIRS:
+            d = pair_defects(p)
+            assert d.dim_range_st == image_basis(p.s @ p.t).dim
+            assert d.dim_range_ts == image_basis(p.t @ p.s).dim
 
 
 class TestCompositionRanges:
