@@ -14,13 +14,13 @@ The folded pair (remark 2.3) puts the even degrees into X and the odd ones
 into Y in ascending order.  In that layout a map between the two parities is
 block diagonal in a padded family, so ``_fold`` takes the direct sums of its
 even- and odd-indexed members: S and T, S~ and T~, and the generalized
-inverses that theorem 4.2 adds to S and T.  The folded composition ranges,
-quotients, induced maps and pseudoinverses are direct sums of the chain's
-per-degree ones (for the pseudoinverses by Penrose's uniqueness theorem,
-(+)A_p^+ = ((+)A_p)^+), so the folded pair takes them from the chain.  Only
-its defects, with its composition ranks b and d among them, are derived from
-the folded matrices: remark 2.3 compares them with the chain's.  Its
-inverse extensions are lifted through the folded quotients, and theorem 4.2
+inverses that theorem 4.2 adds to S and T.  The folded quotients, induced
+maps and pseudoinverses are direct sums of the chain's per-degree ones (for
+the pseudoinverses by Penrose's uniqueness theorem, (+)A_p^+ = ((+)A_p)^+),
+so the folded pair takes them from the chain and folds no range.  Only its
+defects, with its composition ranks b and d among them, are derived from the
+folded matrices: remark 2.3 compares them with the chain's.  Its inverse
+extensions are lifted through the folded quotients, and theorem 4.2
 compares them with the folds of the per-degree lifts.
 """
 
@@ -107,8 +107,8 @@ class ChainInstance:
     @cached_property
     def folded(self) -> "FoldedPair":
         """The folded pair.  The pair verifiers run on it share its own
-        objects, and it reads its composition ranges, quotients, induced
-        maps and their pseudoinverses from this chain (see ``FoldedPair``)."""
+        objects, and it reads its quotients, induced maps and their
+        pseudoinverses from this chain (see ``FoldedPair``)."""
         return fold_to_pair(self)
 
     def _sharing_copy(self) -> "ChainInstance":
@@ -178,8 +178,7 @@ def _fold(family) -> tuple[RatMatrix, RatMatrix]:
     targets, so its first fold maps the odd degrees to the even ones.  Either
     way the blocks follow the ascending order of the degrees, which is the
     layout of the folded pair.  A family indexed by the degrees 0..n, such
-    as the bases of the composition ranges or the projections of the
-    quotients, folds the same way.
+    as the projections or the sections of the quotients, folds the same way.
     """
     return direct_sum(*family[0::2]), direct_sum(*family[1::2])
 
@@ -239,35 +238,31 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
 
 @dataclass(frozen=True)
 class FoldedPair(PairInstance):
-    """The pair a chain folds into, which takes its composition ranges,
-    quotients, induced maps and their pseudoinverses from the chain.
+    """The pair a chain folds into, which takes its quotients, induced maps
+    and their pseudoinverses from the chain.
 
     S and T are the folds of the padded d_0..d_{n+1}, so T S maps X_{p+2}
     into X_p for even p and S T does so for odd p: R(TS) and R(ST) are the
     folds of the chain's composition ranges R(d_{p+1} d_{p+2}), p = 0..n,
     zero at the two top degrees.  rref and the orthogonal complement of a
-    block-diagonal basis are block diagonal, so the quotients X/R(TS) and
-    Y/R(ST) are the folds of the chain's per-degree quotients (a fold of
-    identity quotients is the identity quotient), and S~, T~ the fold of its
-    padded induced maps d~_0..d~_{n+1}.  The pseudoinverse of a direct sum
-    is the direct sum of the pseudoinverses, so S~+ and T~+ are the folds of
-    the padded d~'_0..d~'_{n+1}.  All of them are canonical, so each equals
-    what the pair would derive from the folded matrices; where nothing is
-    killed every d~_p is d_p, so S~, T~ equal S, T.  The induced pair's own
-    checks are direct sums of the chain's: the commuting square of each
-    d~_p, d~_p d~_{p+1} = 0 and the Penrose identities of each d~'_p.
+    block-diagonal basis are block diagonal, so the projections and sections
+    of X/R(TS) and Y/R(ST) are the folds of the chain's per-degree ones (a
+    fold of identity quotients is the identity quotient), and S~, T~ the
+    fold of its padded induced maps d~_0..d~_{n+1}.  The pseudoinverse of a
+    direct sum is the direct sum of the pseudoinverses, so S~+ and T~+ are
+    the folds of the padded d~'_0..d~'_{n+1}.  All of them are canonical, so
+    each equals what the pair would derive from the folded matrices; where
+    nothing is killed every d~_p is d_p, so S~, T~ equal S, T.  The induced
+    pair's own checks are direct sums of the chain's: the commuting square
+    of each d~_p, d~_p d~_{p+1} = 0 and the Penrose identities of each
+    d~'_p.
 
     ``chain`` is a copy of the chain that shares its per-degree objects
-    (``ChainInstance._sharing_copy``).  It and the folded ranges are not
-    compared, hashed or shown, so a folded pair equals any other fold of an
-    equal chain.
+    (``ChainInstance._sharing_copy``).  It is not compared, hashed or shown,
+    so a folded pair equals any other fold of an equal chain.
     """
 
     chain: ChainInstance = field(compare=False, repr=False)
-    # The folds of the chain's composition ranges at even and at odd degrees.
-    # A value in the instance's __dict__ shadows PairInstance's cached_property.
-    range_ts: Subspace = field(compare=False, repr=False)
-    range_st: Subspace = field(compare=False, repr=False)
 
     @cached_property
     def induced(self) -> InducedPair:
@@ -281,8 +276,8 @@ class FoldedPair(PairInstance):
         projections = _fold([q.projection for q in qc.quotients])
         sections = _fold([q.section for q in qc.quotients])
         return InducedPair(
-            q_x=QuotientStructure(self.range_ts, projections[0], sections[0]),
-            q_y=QuotientStructure(self.range_st, projections[1], sections[1]),
+            q_x=QuotientStructure(projections[0], sections[0]),
+            q_y=QuotientStructure(projections[1], sections[1]),
             s_tilde=s_tilde,
             t_tilde=t_tilde,
             s_tilde_pinv=s_tilde_pinv,
@@ -294,13 +289,12 @@ def fold_to_pair(c: ChainInstance) -> FoldedPair:
     """Pack even degrees into X, odd degrees into Y, with S and T the
     degree-lowering maps between them: ``_fold(_down(c.maps, c.dims))``.
 
-    Its composition ranges are the folds of ``c``'s, taken here.  The pair
-    reads its quotients, induced maps and their pseudoinverses from ``c``,
-    through a copy that shares them; its defects are derived from S and T,
-    and its inverse extensions are lifted through its folded quotients."""
+    The pair reads its quotients, induced maps and their pseudoinverses from
+    ``c``, through a copy that shares them, and folds nothing else; its
+    defects are derived from S and T, and its extensions lifted through its
+    folded quotients."""
     s, t = _fold(_down(c.maps, c.dims))
-    range_ts, range_st = map(Subspace, _fold([r.basis for r in c.composition_ranges]))
-    return FoldedPair(s.cols, s.rows, s, t, c._sharing_copy(), range_ts, range_st)
+    return FoldedPair(s.cols, s.rows, s, t, c._sharing_copy())
 
 
 def verify_remark_2_3(c: ChainInstance) -> TheoremReport:
@@ -337,7 +331,7 @@ def quotient_chain(c: ChainInstance) -> QuotientChain:
     d'_p = section_p @ d~'_p @ projection_{p-1} vanishes on R(d_p d_{p+1}).
     """
     ranges = c.composition_ranges
-    quotients = tuple(quotient(d, r) for d, r in zip(c.dims, ranges))
+    quotients = tuple(map(quotient, ranges))
     try:
         maps_tilde = tuple(
             induced_map(d, q_dom, q_cod)
@@ -417,9 +411,9 @@ def verify_theorem_4_4(c: ChainInstance) -> TheoremReport:
         nullity_t, _, index_t = fredholm_data(lap_tilde)
         q = qc.quotients[p]
         rank_pert = (lap - lift(lap_tilde, q, q)).rank
-        killed_here = q.killed.dim
+        killed_here = q.killed_dim
         # R(d_p d_{p+1}) is what the quotient of degree p-1 killed
-        killed_below = qc.quotients[p - 1].killed.dim if p else 0
+        killed_below = qc.quotients[p - 1].killed_dim if p else 0
         checks[f"nullity_matches_a_{p}"] = nullity_t == defects.a[p]
         checks[f"zero_index_{p}"] = index_t == 0
         checks[f"perturbation_rank_{p}"] = rank_pert <= killed_here + killed_below

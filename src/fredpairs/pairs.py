@@ -264,8 +264,8 @@ def induced_pair(p: PairInstance) -> InducedPair:
     ``induced_map`` here is an ``InvariantError`` too.  The pseudoinverses of
     S~ and T~ are taken and checked once the pair is known to be a complex.
     """
-    q_x = quotient(p.dim_x, p.range_ts)
-    q_y = quotient(p.dim_y, p.range_st)
+    q_x = quotient(p.range_ts)
+    q_y = quotient(p.range_st)
     try:
         s_tilde = induced_map(p.s, q_x, q_y)
         t_tilde = induced_map(p.t, q_y, q_x)

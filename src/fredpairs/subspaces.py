@@ -75,15 +75,14 @@ class Subspace:
 
 @dataclass(frozen=True)
 class QuotientStructure:
-    """A quotient Q^n / killed materialized as a coordinate space.
+    """A quotient Q^n / K materialized as a coordinate space by two maps.
 
-    ``projection`` is the matrix of the quotient map pi restricted to the
-    chosen coordinates, ``section`` a right inverse of it whose image is the
-    orthogonal complement of ``killed``.  Both dimensions are read off the
-    projection's shape.
+    ``projection`` is the matrix of the quotient map pi, whose kernel is K,
+    and ``section`` a right inverse of it whose image is the orthogonal
+    complement of K.  Each dimension is read off the projection's shape, of
+    full row rank: dim K is its cols - rows.
     """
 
-    killed: Subspace
     projection: RatMatrix  # quotient_dim x ambient_dim
     section: RatMatrix  # ambient_dim x quotient_dim
 
@@ -94,6 +93,10 @@ class QuotientStructure:
     @property
     def quotient_dim(self) -> int:
         return self.projection.rows
+
+    @property
+    def killed_dim(self) -> int:
+        return self.projection.cols - self.projection.rows
 
 
 def _null_rows(result: RrefResult) -> list[list[int]]:
@@ -187,8 +190,8 @@ def orthogonal_complement(u: Subspace) -> Subspace:
     return kernel_basis(u.basis)
 
 
-def quotient(ambient_dim: int, killed: Subspace) -> QuotientStructure:
-    """Materialize Q^ambient_dim / killed with orthogonal section.
+def quotient(killed: Subspace) -> QuotientStructure:
+    """Materialize Q^n / killed, n = killed.ambient_dim, with orthogonal section.
 
     With C the echelon basis of the orthogonal complement of ``killed`` (rows),
     the section is C^T and the projection (C C^T)^-1 C, taken in solve form
@@ -197,14 +200,12 @@ def quotient(ambient_dim: int, killed: Subspace) -> QuotientStructure:
     projection.  When ``killed`` is zero, C is the identity and both maps are
     the identity, which is returned directly.
     """
-    if killed.ambient_dim != ambient_dim:
-        raise DimensionError("killed subspace lives in the wrong ambient space")
     if not killed.dim:
-        identity = RatMatrix.identity(ambient_dim)
-        return QuotientStructure(killed, identity, identity)
+        identity = RatMatrix.identity(killed.ambient_dim)
+        return QuotientStructure(identity, identity)
     c = orthogonal_complement(killed).basis
     section = c.transpose()
-    return QuotientStructure(killed=killed, projection=_solve(c @ section, c), section=section)
+    return QuotientStructure(projection=_solve(c @ section, c), section=section)
 
 
 def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> RatMatrix:
@@ -221,8 +222,8 @@ def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure
     """
     if a.cols != q_dom.ambient_dim or a.rows != q_cod.ambient_dim:
         raise DimensionError("matrix shape does not match the quotient structures")
-    projected = q_cod.projection @ a if q_cod.killed.dim else a
-    if not q_dom.killed.dim:
+    projected = q_cod.projection @ a if q_cod.killed_dim else a
+    if not q_dom.killed_dim:
         return projected
     a_tilde = projected @ q_dom.section
     if a_tilde @ q_dom.projection != projected:
@@ -253,8 +254,8 @@ def lift(m: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> Ra
     """
     if m.cols != q_dom.quotient_dim or m.rows != q_cod.quotient_dim:
         raise DimensionError("matrix shape does not match the quotient structures")
-    if q_cod.killed.dim:
+    if q_cod.killed_dim:
         m = q_cod.section @ m
-    if q_dom.killed.dim:
+    if q_dom.killed_dim:
         m = m @ q_dom.projection
     return m

@@ -23,6 +23,7 @@ from fredpairs import (
     build_extensions,
     chains,
     fold_to_pair,
+    kernel_basis,
     pairs,
     quotient_chain,
     verify_remark_2_3,
@@ -90,7 +91,9 @@ class TestSharedObjects:
         chain = replace(next(c for c in CHAINS if len(c.maps) >= 2))
         for verify in (verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4):
             assert verify(chain).passed
-        assert chain.folded.induced.q_x.killed is chain.folded.range_ts
+        folded = chain.folded
+        # its folded q_x kills R(TS), which the folded pair does not hold
+        assert kernel_basis(folded.induced.q_x.projection) == folded.range_ts
         alive = weakref.ref(chain)
         gc.disable()
         try:
@@ -176,7 +179,7 @@ class TestComputedOnce:
                 (pairs, "build_extensions"),
             ],
         )
-        # quotient's first argument is the ambient dimension
+        # quotient's only argument is the subspace it kills
         chain_quotients = self.count_calls(monkeypatch, [(chains, "quotient")])["quotient"]
         pair_quotients = self.count_calls(monkeypatch, [(pairs, "quotient")])["quotient"]
         reports = self.verify_all(tmp_path, capsys, chain.to_json_obj())
@@ -187,7 +190,7 @@ class TestComputedOnce:
         # the folded pair's quotients and induced maps are the chain's, summed
         assert calls["induced_pair"] == []
         assert calls["build_extensions"] == [folded]
-        assert chain_quotients == list(chain.dims) and pair_quotients == []
+        assert chain_quotients == list(chain.composition_ranges) and pair_quotients == []
 
     def test_remark_2_3_builds_no_quotient_or_inverse(self, tmp_path, capsys, monkeypatch):
         # a chain whose folded composition ranges are nonzero, which its
@@ -363,8 +366,8 @@ def test_induced_map_checks_invariance_under_optimized_python():
     code = (
         "from fredpairs import *\n"
         "print(__debug__)\n"
-        "kill = quotient(2, Subspace.spanned_by(RatMatrix.from_rows([[0, 1]])))\n"
-        "keep = quotient(2, Subspace.zero(2))\n"
+        "kill = quotient(Subspace.spanned_by(RatMatrix.from_rows([[0, 1]])))\n"
+        "keep = quotient(Subspace.zero(2))\n"
         "try:\n"
         "    induced_map(RatMatrix.identity(2), kill, keep)\n"
         "except PreconditionError:\n"

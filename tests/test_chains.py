@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from fredpairs import (
@@ -9,14 +12,15 @@ from fredpairs import (
     chain_defects,
     chains,
     fold_to_pair,
-    image_basis,
     induced_pair,
+    kernel_basis,
     pair_defects,
     quotient_chain,
     verify_remark_2_3,
     verify_theorem_4_2,
     verify_theorem_4_4,
 )
+from fredpairs.cli import main
 from fredpairs.generators import GenConfig, random_chain, random_matrix
 
 from _reference_chains import block_fold
@@ -176,9 +180,9 @@ class TestQuotientChain:
                 assert (qc.extended_inverses[p - 1] @ comp).is_zero()
 
     def test_folding_consistency(self):
-        # The folded pair assembles its composition ranges, quotients, induced
-        # maps and their pseudoinverses from the chain's per-degree ones; each
-        # must equal what the pair derives from the folded matrices alone.
+        # The folded pair assembles its quotients, induced maps and their
+        # pseudoinverses from the chain's per-degree ones; each must equal
+        # what the pair derives from the folded matrices alone.
         generated = random_chains(seed=127, count=10, rank_budget=4) + generic_chains(
             seed=157, count=12
         )
@@ -186,12 +190,14 @@ class TestQuotientChain:
         for c in zero_degree_chains() + generated:
             folded = fold_to_pair(c)
             plain = PairInstance(folded.dim_x, folded.dim_y, folded.s, folded.t)
-            assert folded.range_st == image_basis(plain.s @ plain.t)
-            assert folded.range_ts == image_basis(plain.t @ plain.s)
-            both_parities += bool(folded.range_st.dim and folded.range_ts.dim)
+            both_parities += bool(plain.range_st.dim and plain.range_ts.dim)
             ind, expected = folded.induced, induced_pair(plain)
-            for q, e in ((ind.q_x, expected.q_x), (ind.q_y, expected.q_y)):
-                assert q.killed == e.killed and q.quotient_dim == e.quotient_dim
+            # each folded projection's kernel is the range its quotient kills
+            for q, e, killed in (
+                (ind.q_x, expected.q_x, plain.range_ts),
+                (ind.q_y, expected.q_y, plain.range_st),
+            ):
+                assert kernel_basis(q.projection) == killed
                 assert q.projection == e.projection and q.section == e.section
             assert ind.s_tilde == expected.s_tilde and ind.t_tilde == expected.t_tilde
             # the folds of the per-degree pseudoinverses are the pseudoinverses
@@ -208,6 +214,33 @@ class TestQuotientChain:
             assert refolded.s == expected.s_tilde
             assert refolded.t == expected.t_tilde
         assert both_parities > len(generated) // 2
+
+
+def wide_range_chains():
+    """10 chains drawn from one fuzz stream at max_dim 16 and rank budget 4,
+    each with a nonzero composition range, so that its folded pair
+    quotients by something in blocks larger than the fuzz defaults give."""
+    cfg = GenConfig(seed=71, max_dim=16, rank_budget=4)
+    rng = cfg.rng()
+    found = []
+    while len(found) < 10:
+        chain = random_chain(cfg, rng.randint(2, 4), rng)
+        if any(r.dim for r in chain.composition_ranges):
+            found.append(chain)
+    return found
+
+
+def test_wide_range_chains_verify_output_is_pinned(tmp_path, capsys):
+    # sha256 of the stdout of ``verify --all`` on each chain, in order: the
+    # folded pair's theorem 3.4 and 3.6 reports print the same bytes
+    path = tmp_path / "chain.json"
+    out = []
+    for chain in wide_range_chains():
+        path.write_text(json.dumps(chain.to_json_obj()))
+        assert main(["verify", "--all", str(path)]) == 0
+        out.append(capsys.readouterr().out)
+    digest = "032d092c1d1faa831a228fd11158658b0a6c2b27b7f8623936a727eef8b1699c"
+    assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
 
 
 def zero_degree_chains():

@@ -18,7 +18,6 @@ from fredpairs import (
     Subspace,
     cli,
     generators,
-    matrices,
     pairs,
 )
 from fredpairs.cli import main
@@ -199,25 +198,6 @@ def test_missing_file_exits_2(tmp_path, capsys, command):
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "command, obj",
-    [("pair-report", W2), ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]})],
-)
-def test_report_with_a_rank_too_small_exits_3(tmp_path, capsys, monkeypatch, command, obj):
-    # Counted from ranks, the printed index is dim_x - dim_y (or the Euler
-    # characteristic) even when a rank is wrong; the null-row check is what
-    # stops the report.
-    rref_rows = matrices.rref_rows
-
-    def lose_last_pivot(rows, ncols):
-        reduced, pivots = rref_rows(rows, ncols)
-        return reduced, pivots[:-1]
-
-    monkeypatch.setattr(matrices, "rref_rows", lose_last_pivot)
-    code, out, err = run(capsys, [command, write(tmp_path, "in.json", obj)])
-    assert (code, out) == (3, "") and "rref" in err
-
-
 class TestVerify:
     def test_w2_thm34(self, tmp_path, capsys):
         code, out, _ = run(
@@ -235,6 +215,16 @@ class TestVerify:
         assert code == 0
         names = [r["name"] for r in json.loads(out)["reports"]]
         assert names == ["remark_2_3", "theorem_4_2", "theorem_4_4", "theorem_3_4", "theorem_3_6"]
+
+    def test_reports_in_a_fixed_order(self, tmp_path, capsys):
+        # the flags out of order and one of them twice
+        flags = ["--thm44", "--thm42", "--thm34", "--thm42"]
+        code, out, _ = run(
+            capsys, ["verify", write(tmp_path, "c.json", NON_COMPLEX_CHAIN), *flags]
+        )
+        assert code == 0
+        names = [r["name"] for r in json.loads(out)["reports"]]
+        assert names == ["theorem_4_2", "theorem_4_4", "theorem_3_4"]
 
     def test_chain_checks_on_pair_rejected(self, tmp_path, capsys):
         code, _, err = run(

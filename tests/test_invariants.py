@@ -23,6 +23,7 @@ from fredpairs import (
     build_extensions,
     chains,
     generators,
+    matrices,
     pairs,
     quotient_chain,
     random_chain,
@@ -223,6 +224,43 @@ def test_internal_precondition_failure_exits_3(monkeypatch, tmp_path, capsys, in
     assert captured.out == ""
     assert captured.err.startswith("invariant failed: ")
     assert "killed_dom" in captured.err
+
+
+RANK_ZERO = "the rref gives a nonzero matrix rank 0"
+NULL_ROW = "a null row of the rref is not in the null space"
+
+
+@pytest.mark.parametrize(
+    "command, instance, message",
+    [
+        ("pair-report", {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}, RANK_ZERO),
+        ("pair-report", {"dim_x": 2, "dim_y": 2, "s": [[1, 0], [0, 1]], "t": [[0, 0]] * 2}, NULL_ROW),
+        ("chain-report", {"dims": [1, 2], "maps": [[[1, 1]]]}, RANK_ZERO),
+        ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]}, NULL_ROW),
+    ],
+    ids=["pair-rank-0", "pair-null-row", "chain-rank-0", "chain-null-row"],
+)
+def test_report_with_a_rank_too_small_exits_3(
+    monkeypatch, tmp_path, capsys, command, instance, message
+):
+    # A row reduction that drops its last pivot gives a rank one too small.
+    # Counted from ranks, the printed index is dim_x - dim_y (or the Euler
+    # characteristic) even so; the defect numbers' own checks stop the
+    # report.  A one-row A then has rank 0, and an A of rank 2 or more has a
+    # null row that A does not annihilate.
+    rref_rows = matrices.rref_rows
+
+    def lose_last_pivot(rows, ncols):
+        reduced, pivots = rref_rows(rows, ncols)
+        return reduced, pivots[:-1]
+
+    monkeypatch.setattr(matrices, "rref_rows", lose_last_pivot)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invariant failed: {message}"]
 
 
 def test_generator_budgets(monkeypatch):

@@ -335,23 +335,23 @@ class TestComplement:
 
 class TestQuotient:
     def test_kill_axis(self):
-        q = quotient(2, span([[0, 1]]))
+        q = quotient(span([[0, 1]]))
         assert q.projection == mat([[1, 0]])
         assert q.section == mat([[1], [0]])
 
     def test_trivial_quotient(self):
-        q = quotient(3, Subspace.zero(3))
+        q = quotient(Subspace.zero(3))
         assert q.projection == RatMatrix.identity(3)
         assert q.section == RatMatrix.identity(3)
 
     def test_full_quotient(self):
-        q = quotient(1, Subspace.full(1))
+        q = quotient(Subspace.full(1))
         assert q.quotient_dim == 0
         assert q.projection.shape == (0, 1)
 
     def test_trivial_quotient_is_the_complement_construction(self):
         for n in range(7):
-            q = quotient(n, Subspace.zero(n))
+            q = quotient(Subspace.zero(n))
             assert (q.projection, q.section) == complement_construction(n, Subspace.zero(n))
             assert q.quotient_dim == n
 
@@ -359,16 +359,17 @@ class TestQuotient:
     @given(st.integers(0, 6).flatmap(lambda n: st.tuples(st.just(n), killed_subspaces(n))))
     def test_complement_construction(self, case):
         n, killed = case
-        q = quotient(n, killed)
+        q = quotient(killed)
         assert (q.projection, q.section) == complement_construction(n, killed)
         assert q.quotient_dim == n - killed.dim
+        assert q.killed_dim == killed.dim
 
     def test_invariants_random(self):
         cfg = GenConfig(seed=23, max_dim=6)
         rng = cfg.rng()
         for _ in range(15):
             killed = image_basis(random_matrix(cfg, 5, 3, rng.randint(0, 3), rng))
-            q = quotient(5, killed)
+            q = quotient(killed)
             assert q.projection @ q.section == RatMatrix.identity(q.quotient_dim)
             assert kernel_basis(q.projection) == killed
             assert q.quotient_dim == 5 - killed.dim
@@ -377,16 +378,16 @@ class TestQuotient:
 class TestInducedMap:
     def test_identity_quotients(self):
         a = mat([[1, 2], [3, 4]])
-        q = quotient(2, Subspace.zero(2))
+        q = quotient(Subspace.zero(2))
         assert induced_map(a, q, q) == a
 
     def test_commuting_square(self):
-        q = quotient(2, span([[0, 1]]))
+        q = quotient(span([[0, 1]]))
         assert induced_map(RatMatrix.identity(2), q, q) == mat([[1]])
 
     def test_invariance_violation(self):
-        q_triv = quotient(2, Subspace.zero(2))
-        q_kill = quotient(2, span([[0, 1]]))
+        q_triv = quotient(Subspace.zero(2))
+        q_kill = quotient(span([[0, 1]]))
         # the identity does not map span{(0,1)} into 0
         with pytest.raises(PreconditionError):
             induced_map(RatMatrix.identity(2), q_kill, q_triv)
@@ -401,7 +402,7 @@ class TestInducedMap:
         killed_cod = data.draw(killed_subspaces(n_cod))
         if data.draw(st.booleans()):
             killed_cod = killed_cod + push_image(a, killed_dom)
-        q_dom, q_cod = quotient(n_dom, killed_dom), quotient(n_cod, killed_cod)
+        q_dom, q_cod = quotient(killed_dom), quotient(killed_cod)
         if not killed_cod.contains(push_image(a, killed_dom)):
             with pytest.raises(PreconditionError):
                 induced_map(a, q_dom, q_cod)
@@ -414,13 +415,13 @@ class TestLift:
     @given(st.data())
     def test_three_product_formula(self, data):
         n_dom, n_cod = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
-        q_dom = quotient(n_dom, data.draw(killed_subspaces(n_dom)))
-        q_cod = quotient(n_cod, data.draw(killed_subspaces(n_cod)))
+        q_dom = quotient(data.draw(killed_subspaces(n_dom)))
+        q_cod = quotient(data.draw(killed_subspaces(n_cod)))
         m = data.draw(maps(q_cod.quotient_dim, q_dom.quotient_dim))
         assert lift(m, q_dom, q_cod) == q_cod.section @ m @ q_dom.projection
 
     def test_shape_mismatch(self):
-        q = quotient(2, span([[0, 1]]))
+        q = quotient(span([[0, 1]]))
         with pytest.raises(DimensionError):
             lift(RatMatrix.identity(2), q, q)
 
