@@ -220,10 +220,7 @@ def chain_defects(c: ChainInstance) -> ChainDefects:
 
     (a_p, b_p) = ``defect_numbers(d_p, d_{p+1})``: the meet of N(d_p) and
     R(d_{p+1}) is counted by Grassmann's formula from ranks alone, so no
-    subspace of X_p is built.  A degree whose maps are zero costs no row
-    reduction, and neither does the product of the reduced rows of d_p and
-    the pivot columns of d_{p+1} at a degree where the chain is a complex.
-    Nothing here reads the composition ranges.
+    subspace of X_p is built.  Nothing here reads the composition ranges.
     """
     down = _down(c.maps, c.dims)
     a, b, d = [], [], []

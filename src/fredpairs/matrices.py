@@ -19,6 +19,7 @@ its input's rows).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -76,10 +77,12 @@ def _read_grid(grid: Iterable[Iterable]) -> tuple[list[list[int]], int]:
 
 
 def _over_lcm(pairs: list[list[tuple[int, int]]]) -> tuple[list[list[int]], int]:
-    """Rows of (n, d > 0) pairs as canonical integer rows over the lcm of the d."""
+    """Rows of (n, d > 0) pairs as canonical integer rows over the lcm of the d.
+
+    Integer entries take the same path: over den 1 every factor is 1, and
+    ``_reduced`` stops at its first row.
+    """
     den = lcm(*[d for row in pairs for _, d in row])
-    if den == 1:
-        return [[n for n, _ in row] for row in pairs], 1
     return _reduced([[n * (den // d) for n, d in row] for row in pairs], den)
 
 
@@ -214,21 +217,19 @@ class RatMatrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _require_same_shape(self, other: "RatMatrix"):
+    def _entrywise(self, other: "RatMatrix", op) -> "RatMatrix":
+        """``op`` applied entry by entry over the two matrices' common denominator."""
         if self.shape != other.shape:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
+        den, (left, right) = _aligned((self, other))
+        num = [list(map(op, r1, r2)) for r1, r2 in zip(left, right)]
+        return RatMatrix._canonical(self.rows, self.cols, num, den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        den, (left, right) = _aligned((self, other))
-        num = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
-        return RatMatrix._canonical(self.rows, self.cols, num, den)
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        self._require_same_shape(other)
-        den, (left, right) = _aligned((self, other))
-        num = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(left, right)]
-        return RatMatrix._canonical(self.rows, self.cols, num, den)
+        return self._entrywise(other, operator.sub)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -250,20 +251,18 @@ class RatMatrix:
         The kernel returns each nonzero row as primitive integers with a
         positive pivot p_i; over den = lcm(p_i) every pivot entry becomes den,
         and the result is canonical because each row is primitive.  A zero
-        matrix needs no row reduction: its rref has no rows.
+        matrix takes the same path: the kernel returns no rows, and the lcm
+        of no pivots is 1.
         """
         cached = self._rref
         if cached is None:
-            if self.is_zero():
-                cached = RrefResult(RatMatrix._raw(0, self.cols, [], 1), ())
-            else:
-                rows, pivots = rref_rows(self.num, self.cols)
-                den = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
-                for i, c in enumerate(pivots):
-                    f = den // rows[i][c]
-                    if f != 1:
-                        rows[i] = [x * f for x in rows[i]]
-                cached = RrefResult(RatMatrix._raw(len(rows), self.cols, rows, den), tuple(pivots))
+            rows, pivots = rref_rows(self.num, self.cols)
+            den = lcm(*[rows[i][c] for i, c in enumerate(pivots)])
+            for i, c in enumerate(pivots):
+                f = den // rows[i][c]
+                if f != 1:
+                    rows[i] = [x * f for x in rows[i]]
+            cached = RrefResult(RatMatrix._raw(len(rows), self.cols, rows, den), tuple(pivots))
             _set_rref(self, cached)
         return cached
 
@@ -311,11 +310,10 @@ class RatMatrix:
     def to_json_obj(self) -> list:
         """The matrix JSON encoding: an int per integer entry, else "p/q".
 
-        Each entry x/den is reduced by one gcd; no Fraction is built.
+        Each entry x/den is reduced by one gcd, over den 1 too; no Fraction
+        is built.
         """
         den = self.den
-        if den == 1:
-            return [[_encode_rat(x) for x in row] for row in self.num]
         return [[_encode_reduced(x, den) for x in row] for row in self.num]
 
     @classmethod

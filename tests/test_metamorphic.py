@@ -1,6 +1,7 @@
-"""Metamorphic relations: the defects of an instance against those of its dual.
+"""Metamorphic relations: the numbers of an instance against those of a
+transformed copy.
 
-Neither relation needs a second implementation, so both scale past the
+None of the relations needs a second implementation, so all scale past the
 sizes the sympy oracle reaches.
 
 - **Pair duality.** (T^t, S^t) is a pair on the same X and Y with the same
@@ -15,13 +16,22 @@ sizes the sympy oracle reaches.
   commute with it, and the printed values do not depend on the basis of a
   quotient.  Theorem 3.6's corrector F becomes W F W^t, with W the change
   of basis of X (+) Y.
+- **Unimodular changes of basis.** A change of the basis of every space by
+  an integer matrix of determinant 1 keeps the dimensions of the subspaces
+  the defects count, the composition ranks, and the nullities of the
+  quotient Laplacians, which are the homology dimensions of the induced
+  complex.  Theorem 4.4's ``nullity`` and ``rank_perturbation`` read the
+  orthogonal projections of the original spaces, and no proof says they
+  stay, so they are left out.
 
 Each relation compares two runs of the same code, so a fault that keeps the
 relation (one that is symmetric under duality) passes it; the verifiers'
 own checks and ``tests/test_mutations.py`` cover those.  ``meet_one_short``
 is not symmetric, and the dualities flag it; a swapped direct sum and a lift
 through the transposed section do not commute with a change of basis, and
-the signed permutations flag them.
+the signed permutations flag them.  A meet with the orthogonal complement of
+R(B) in place of R(B) commutes with orthogonal changes only, and the
+unimodular changes flag it.
 """
 
 from dataclasses import replace
@@ -32,7 +42,10 @@ from fredpairs import (
     ChainInstance,
     PairInstance,
     RatMatrix,
+    chains,
     direct_sum,
+    kernel_basis,
+    pairs,
     verify_remark_2_3,
     verify_theorem_3_4,
     verify_theorem_3_6,
@@ -42,7 +55,7 @@ from fredpairs import (
 from fredpairs.cli import MAX_CHAIN_MAPS
 from fredpairs.generators import GenConfig, SplitMix64, random_chain, random_pair
 
-from test_mutations import MUTATIONS, UNEQUAL_PAIRS
+from test_mutations import MUTATIONS, UNEQUAL_PAIRS, _basis_change
 
 
 def _stream(max_dim, rank_budget, count=40):
@@ -65,11 +78,11 @@ def dual_chain(c: ChainInstance) -> ChainInstance:
     return ChainInstance(c.dims[::-1], tuple(m.transpose() for m in reversed(c.maps)))
 
 
-def violations() -> list:
-    """The instances whose defects break their relation.  Each instance is
-    copied first, so its defects are derived afresh."""
+def violations(streams=STREAMS) -> list:
+    """The instances of ``streams`` whose defects break their duality.  Each
+    instance is copied first, so its defects are derived afresh."""
     bad = []
-    for fuzz_pairs, fuzz_chains in STREAMS:
+    for fuzz_pairs, fuzz_chains in streams:
         for pair in map(replace, fuzz_pairs):
             if dual_pair(pair).defects != pair.defects:
                 bad.append(pair)
@@ -90,6 +103,14 @@ def test_streams_reach_nonzero_defects():
 
 def test_relations_hold():
     assert violations() == []
+
+
+def test_relations_hold_at_max_dim_32():
+    # defects only, on a few instances with spaces past max_dim 16
+    fuzz_pairs, fuzz_chains = _stream(32, 4, count=6)
+    assert max(max(p.dim_x, p.dim_y) for p in fuzz_pairs) > 16
+    assert max(max(c.dims) for c in fuzz_chains) > 16
+    assert violations([(fuzz_pairs, fuzz_chains)]) == []
 
 
 def test_relations_flag_meet_one_short(monkeypatch):
@@ -182,3 +203,88 @@ def test_signed_permutations_flag(monkeypatch, name):
     for module, attribute in targets:
         monkeypatch.setattr(module, attribute, mutate(getattr(module, attribute)))
     assert permutation_violations(STREAMS[:1])
+
+
+def basis_invariants(instance):
+    """What a change of basis of every space by any invertible matrix keeps:
+    the defects, the composition ranks and the nullities of the quotient
+    Laplacians, which are homology dimensions of the induced complex."""
+    if isinstance(instance, PairInstance):
+        details = verify_theorem_3_6(instance).details
+        return instance.defects, details["nullity_lap_x_tilde"], details["nullity_lap_y_tilde"]
+    degrees = verify_theorem_4_4(instance).details["degrees"]
+    return (
+        instance.defects,
+        [r.dim for r in instance.composition_ranges],
+        [degree["nullity_tilde"] for degree in degrees],
+        basis_invariants(instance.folded),
+    )
+
+
+def unimodular_violations(streams) -> list:
+    """The instances of ``streams`` whose ``basis_invariants`` move under a
+    random integer change of basis of determinant 1 of every space: S' =
+    Q S P^-1 and T' = P T Q^-1 for a pair, d'_p = P_{p-1} d_p P_p^-1 for a
+    chain, each P a product of shears.  Each instance is copied first, so
+    everything is derived afresh."""
+    rng = SplitMix64(13)
+    bad = []
+    for fuzz_pairs, fuzz_chains in streams:
+        for pair in map(replace, fuzz_pairs):
+            (p, p_inv), (q, q_inv) = _basis_change(pair.dim_x, rng), _basis_change(pair.dim_y, rng)
+            moved = PairInstance(pair.dim_x, pair.dim_y, q @ pair.s @ p_inv, p @ pair.t @ q_inv)
+            if basis_invariants(moved) != basis_invariants(pair):
+                bad.append(pair)
+        for chain in map(replace, fuzz_chains):
+            changes = [_basis_change(d, rng) for d in chain.dims]
+            maps = (
+                changes[p - 1][0] @ m @ changes[p][1] for p, m in enumerate(chain.maps, start=1)
+            )
+            moved = ChainInstance(chain.dims, tuple(maps))
+            if basis_invariants(moved) != basis_invariants(chain):
+                bad.append(chain)
+    return bad
+
+
+def test_unimodular_changes_keep_the_homology():
+    # the first 20 pairs and 20 chains of each stream, as for the signed
+    # permutations
+    assert unimodular_violations([(p[:20], c[:20]) for p, c in STREAMS]) == []
+
+
+def meet_with_complement(defect_numbers):
+    """Meet N(A) with the orthogonal complement of R(B) in place of R(B).
+
+    Its dimension is kept by an orthogonal change of basis, such as a signed
+    permutation, but not by the shears."""
+
+    def wrong(a, b):
+        return defect_numbers(a, kernel_basis(b.transpose()).basis.transpose())
+
+    return wrong
+
+
+def coordinate_instances():
+    """Pairs (E, E) and chains (E, E) with E = diag(1, .., 1, 0, .., 0) on
+    Q^n, n = 2..5, half of it ones: N(E) is the orthogonal complement of
+    R(E), a special position that a generic instance has not and a shear
+    moves."""
+    maps = [
+        RatMatrix.from_rows([[int(i == j < n // 2) for j in range(n)] for i in range(n)])
+        for n in range(2, 6)
+    ]
+    return (
+        [PairInstance(e.rows, e.rows, e, e) for e in maps],
+        [ChainInstance((e.rows,) * 3, (e, e)) for e in maps],
+    )
+
+
+def test_unimodular_changes_flag_a_meet_with_the_complement(monkeypatch):
+    streams = [coordinate_instances()]
+    assert unimodular_violations(streams) == []
+    for module in (pairs, chains):
+        monkeypatch.setattr(module, "defect_numbers", meet_with_complement(module.defect_numbers))
+    assert permutation_violations(streams) == []
+    bad = unimodular_violations(streams)
+    assert any(isinstance(i, PairInstance) for i in bad)
+    assert any(isinstance(i, ChainInstance) for i in bad)

@@ -224,9 +224,10 @@ class TestDefectNumbers:
         assert (a_defect, b_defect) == reference.stacked_defect_numbers(a, b)
         assert b_defect == image_basis(a @ b).dim
 
-    def test_a_complex_row_reduces_only_its_maps(self, monkeypatch):
-        # R(B) = N(A) with 0 < nullity < cols: the product of the reduced
-        # rows of A and the pivot columns of B is zero and needs no rref.
+    def test_a_complex_row_reduces_its_maps_and_the_small_product(self, monkeypatch):
+        # R(B) = N(A) with 0 < nullity < cols: besides A and B, only the
+        # rank(A) x rank(B) product of the reduced rows of A and the pivot
+        # columns of B is row-reduced, a zero 1 x 2 matrix with no pivot.
         calls = []
         rref_rows = matrices.rref_rows
 
@@ -237,7 +238,7 @@ class TestDefectNumbers:
         monkeypatch.setattr(matrices, "rref_rows", counted)
         a, b = mat([[1, 1, 0]]), mat([[1, 0], [-1, 0], [0, 1]])
         assert defect_numbers(a, b) == (0, 0)
-        assert calls == [1, 3]
+        assert calls == [1, 3, 1]
 
     def test_examples(self):
         # N(A) = span(e2) = R(B): the meet is everything of both
