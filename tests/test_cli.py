@@ -560,6 +560,20 @@ class TestPinv:
             sys.set_int_max_str_digits(limit)
         assert json.loads(out) == expected
 
+    @pytest.mark.parametrize("cols, code", [(2047, 0), (2048, 2)])
+    def test_total_dimension_limit(self, tmp_path, capsys, cols, code):
+        got, out, err = run(capsys, ["pinv", write(tmp_path, "m.json", [[0] * cols])])
+        assert got == code
+        if code == 2:
+            assert out == "" and err == "error: a matrix's rows + cols must be at most 2048\n"
+        else:
+            assert json.loads(out) == [[0]] * cols
+
+    def test_total_dimension_limit_comes_before_the_entries(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["pinv", write(tmp_path, "m.json", [["x"] * 2048])])
+        assert (code, out) == (2, "")
+        assert err == "error: a matrix's rows + cols must be at most 2048\n"
+
     def test_deep_nesting_rejected(self, tmp_path, capsys):
         path = tmp_path / "m.json"
         path.write_text("[" * 100_000, encoding="utf-8")

@@ -226,16 +226,15 @@ def test_internal_precondition_failure_exits_3(monkeypatch, tmp_path, capsys, in
     assert "killed_dom" in captured.err
 
 
-RANK_ZERO = "the rref gives a nonzero matrix rank 0"
 NULL_ROW = "a null row of the rref is not in the null space"
 
 
 @pytest.mark.parametrize(
     "command, instance, message",
     [
-        ("pair-report", {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}, RANK_ZERO),
+        ("pair-report", {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}, NULL_ROW),
         ("pair-report", {"dim_x": 2, "dim_y": 2, "s": [[1, 0], [0, 1]], "t": [[0, 0]] * 2}, NULL_ROW),
-        ("chain-report", {"dims": [1, 2], "maps": [[[1, 1]]]}, RANK_ZERO),
+        ("chain-report", {"dims": [1, 2], "maps": [[[1, 1]]]}, NULL_ROW),
         ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]}, NULL_ROW),
     ],
     ids=["pair-rank-0", "pair-null-row", "chain-rank-0", "chain-null-row"],
@@ -246,8 +245,8 @@ def test_report_with_a_rank_too_small_exits_3(
     # A row reduction that drops its last pivot gives a rank one too small.
     # Counted from ranks, the printed index is dim_x - dim_y (or the Euler
     # characteristic) even so; the defect numbers' own checks stop the
-    # report.  A one-row A then has rank 0, and an A of rank 2 or more has a
-    # null row that A does not annihilate.
+    # report: A then has a null row that it does not annihilate.  A one-row A
+    # has rank 0, so every unit vector is a null row.
     rref_rows = matrices.rref_rows
 
     def lose_last_pivot(rows, ncols):
@@ -261,6 +260,37 @@ def test_report_with_a_rank_too_small_exits_3(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"invariant failed: {message}"]
+
+
+@pytest.mark.parametrize(
+    "command, instance",
+    [
+        ("pair-report", {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}),
+        ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]}),
+    ],
+    ids=["pair", "chain"],
+)
+def test_report_with_a_wrong_product_exits_3(monkeypatch, tmp_path, capsys, command, instance):
+    # The fault bench/test_bench.py injects: one entry of every nonempty
+    # product off by one.  The defects form their products through the
+    # binding on matrices that it and the tracer replace, so the null-row
+    # check sees the fault.
+    mat_mul = matrices.mat_mul
+
+    def off_by_one(a, b, m, k, n):
+        out = mat_mul(a, b, m, k, n)
+        if m and n:
+            out[0][0] += 1
+        return out
+
+    monkeypatch.setattr(matrices, "mat_mul", off_by_one)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main([command, str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("invariant failed: ")
 
 
 def test_generator_budgets(monkeypatch):

@@ -245,6 +245,10 @@ class TestDefectNumbers:
         assert defect_numbers(mat([[1, 0]]), mat([[0], [1]])) == (0, 0)
         # R(B) = span(e1) misses N(A) = span(e2)
         assert defect_numbers(mat([[1, 0]]), mat([[1], [0]])) == (1, 1)
+        # An injective A: N(A) = 0, so all of R(B) is the second defect
+        assert defect_numbers(mat([[1, 0], [0, 1], [1, 1]]), mat([[1, 3], [2, 6]])) == (0, 1)
+        # A zero B: R(B) = 0, so all of N(A) is the first defect
+        assert defect_numbers(mat([[1, 0, 0]]), RatMatrix.zero(3, 2)) == (2, 0)
         assert defect_numbers(RatMatrix.zero(0, 3), RatMatrix.zero(3, 0)) == (3, 0)
         assert defect_numbers(RatMatrix.zero(2, 0), RatMatrix.zero(0, 2)) == (0, 0)
 
