@@ -101,11 +101,9 @@ def _full_rank_matrix(rng: SplitMix64, entry_bound: int, rows: int, cols: int) -
 
 
 def random_matrix(cfg: GenConfig, rows: int, cols: int, rank: int, rng: SplitMix64) -> RatMatrix:
-    """A matrix of exactly the requested rank (outer product of full-rank factors)."""
+    """A matrix of exactly the requested rank: a product of full-rank factors, empty at rank 0."""
     if rank < 0 or rank > min(rows, cols):
         raise PreconditionError(f"rank {rank} infeasible for a {rows}x{cols} matrix")
-    if rank == 0:
-        return RatMatrix.zero(rows, cols)
     left = _full_rank_matrix(rng, cfg.entry_bound, rows, rank)
     right = _full_rank_matrix(rng, cfg.entry_bound, rank, cols)
     return left @ right
@@ -173,8 +171,7 @@ def random_chain(cfg: GenConfig, length: int, rng: SplitMix64) -> ChainInstance:
             if rng.coin():
                 rows, cols = dims[p - 1], dims[p]
                 leak_rank = min(rng.randint(1, cfg.rank_budget), rows, cols)
-                if leak_rank > 0:
-                    maps[p - 1] = maps[p - 1] + random_matrix(cfg, rows, cols, leak_rank, rng)
+                maps[p - 1] = maps[p - 1] + random_matrix(cfg, rows, cols, leak_rank, rng)
                 p += 2  # never perturb adjacent maps
             else:
                 p += 1

@@ -132,12 +132,12 @@ def kernel_basis(a: RatMatrix) -> Subspace:
     the vectors, taken from the last free column to the first, are already
     the reduced rows of the kernel's rref over den.  They are canonical
     because the reduced rows are: den and the entries at the free columns
-    share no common factor.  A zero A gives the identity rows over den 1.
+    share no common factor.  A zero A gives the identity rows, an injective A none, over den 1.
     """
     reversed_a = RatMatrix._raw(a.rows, a.cols, [row[::-1] for row in a.num], a.den)
     result = reversed_a.rref()
     rows = [v[::-1] for v in reversed(_null_rows(result))]
-    return Subspace(RatMatrix._raw(len(rows), a.cols, rows, result.reduced.den if rows else 1))
+    return Subspace(RatMatrix._raw(len(rows), a.cols, rows, result.reduced.den))
 
 
 def defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:

@@ -23,8 +23,12 @@ class TestRandomMatrix:
         assert random_matrix(cfg, 4, 4, 2, cfg.rng()).rank == 2
 
     def test_rank_zero(self):
+        # the general path: the factors are empty, draw nothing and multiply to zero
         cfg = GenConfig(seed=2, max_dim=6)
-        assert random_matrix(cfg, 3, 2, 0, cfg.rng()).is_zero()
+        for rows, cols in [(3, 2), (0, 0), (0, 3), (3, 0), (2, 3)]:
+            rng = cfg.rng()
+            assert random_matrix(cfg, rows, cols, 0, rng) == RatMatrix.zero(rows, cols)
+            assert rng.state == cfg.rng().state
 
     def test_determinism(self):
         cfg = GenConfig(seed=99, max_dim=6)

@@ -78,7 +78,10 @@ def subspace_pairs(draw, max_dim=6):
 class TestKernelAndImage:
     def test_kernel_examples(self):
         assert kernel_basis(mat([[1, 0], [0, 0]])) == span([[0, 1]])
+        # an injective map has no free column, so its kernel is no rows over den 1
         assert kernel_basis(RatMatrix.identity(3)) == Subspace.zero(3)
+        assert kernel_basis(mat([["1/2", 0], [1, 3], [0, "2/5"]])) == Subspace.zero(2)
+        assert kernel_basis(RatMatrix.zero(2, 0)) == Subspace.zero(0)
         assert kernel_basis(mat([[1, 1]])) == span([[1, -1]])
 
     def test_kernel_vectors_annihilate(self):
