@@ -30,13 +30,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
-from .matrices import RatMatrix, direct_sum
+from .matrices import MAX_TOTAL_DIM, RatMatrix, _is_dimension, direct_sum
 from .pairs import (
     InducedPair,
-    MAX_TOTAL_DIM,
     PairInstance,
     TheoremReport,
-    _is_dimension,
     check_pseudoinverses,
     fredholm_data,
     laplacians,

@@ -27,8 +27,8 @@ from pathlib import Path
 from .chains import ChainInstance, verify_remark_2_3, verify_theorem_4_2, verify_theorem_4_4
 from .errors import FredpairsError, InputError, InvariantError
 from .generators import GenConfig, child_seed, random_chain, random_pair
-from .matrices import RatMatrix
-from .pairs import MAX_TOTAL_DIM, PairInstance, verify_theorem_3_4, verify_theorem_3_6
+from .matrices import MAX_TOTAL_DIM, RatMatrix
+from .pairs import PairInstance, check_pseudoinverses, verify_theorem_3_4, verify_theorem_3_6
 
 PAIR_CHECKS = ("thm34", "thm36")
 CHAIN_ONLY_CHECKS = ("thm42", "thm44", "remark23")
@@ -203,14 +203,11 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_pinv(args) -> int:
-    obj = _load_json(args.file)
-    # the shape the matrix reader takes, bounded like an instance's before any entry is read
-    rows = len(obj) if isinstance(obj, list) else 0
-    cols = len(obj[0]) if rows and isinstance(obj[0], list) else 0
-    if rows + cols > MAX_TOTAL_DIM:
-        raise InputError(f"a matrix's rows + cols must be at most {MAX_TOTAL_DIM}")
-    matrix = RatMatrix.from_json_obj(obj)
+    """Print the pseudoinverse X of the matrix A in the file, once X A X = X
+    and A X A = A are checked; a failed check is an internal failure."""
+    matrix = RatMatrix.from_json_obj(_load_json(args.file))
     pinv = matrix.pseudoinverse()
+    check_pseudoinverses("matrix", (matrix,), (pinv,), (), ("pseudoinverse",))
     with _unlimited_int_digits():
         print(json.dumps(pinv.to_json_obj()))
     return 0

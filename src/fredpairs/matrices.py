@@ -26,7 +26,19 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from ._kernels import mat_mul, rref_rows
-from .errors import DimensionError, InputError
+from .errors import DimensionError, InputError, InvariantError
+
+# The largest rows + cols of a matrix the JSON reader takes, and the largest
+# total dimension an instance file may give: verify --all on a chain of one
+# degree this large takes seconds and a few hundred MB.
+MAX_TOTAL_DIM = 2048
+
+
+def _is_dimension(d) -> bool:
+    """Whether ``d`` is a dimension: a nonnegative int.  bool is a subclass of
+    int, but True is not a dimension, so the type is tested exactly."""
+    return type(d) is int and d >= 0
+
 
 def _off_grammar(text: str) -> bool:
     """Whether ``text`` holds what int() takes beyond -?[0-9]+.
@@ -140,6 +152,8 @@ class RatMatrix:
     __slots__ = ("rows", "cols", "num", "den", "_rref")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable]):
+        if not (_is_dimension(rows) and _is_dimension(cols)):
+            raise DimensionError(f"a shape must be two nonnegative integers, got {rows!r}x{cols!r}")
         num, den = _read_grid(entries)
         if len(num) != rows or any(len(row) != cols for row in num):
             raise DimensionError(f"entry grid does not match shape {rows}x{cols}")
@@ -271,22 +285,23 @@ class RatMatrix:
         return self.rref().rank
 
     def inverse(self) -> "RatMatrix":
+        """A^-1 = (A^T A)^-1 A^T, refused by rank for a singular A."""
         if self.rows != self.cols:
             raise DimensionError("only square matrices are invertible")
-        return _solve(self, RatMatrix.identity(self.rows))
+        if self.rank < self.rows:
+            raise DimensionError("matrix is singular")
+        return _gram_solve(self.transpose())
 
     def pseudoinverse(self) -> "RatMatrix":
         """The Moore-Penrose pseudoinverse, exact over Q, chosen by rank shape.
 
         - rank 0: the zero matrix of the transposed shape.
-        - full column rank: (A^T A)^-1 A^T, from one row reduction of
-          [A^T A | A^T].  A square invertible A takes this branch too.
-        - full row rank: A^T (A A^T)^-1, the transpose of (A A^T)^-1 A.
+        - full column rank: (A^T A)^-1 A^T, the Gram solve of A^T.  A square
+          invertible A takes this branch too.
+        - full row rank: A^T (A A^T)^-1, the transpose of the Gram solve of A.
         - otherwise, from A = C R with C the pivot columns of A and R the
-          reduced rows of rref(A), as R^T (R R^T)^-1 (C^T C)^-1 C^T in solve
-          form: the two Gram matrices are invertible because C and R have
-          full rank, so (R R^T)^-1 R and (C^T C)^-1 C^T each come from one
-          row reduction and only one product joins them.
+          reduced rows of rref(A), as R^T (R R^T)^-1 (C^T C)^-1 C^T: the Gram
+          solves of R and C^T, both of full row rank, joined by one product.
 
         The pseudoinverse is unique and a RatMatrix canonical, so every
         branch gives the matrix the general formula would.  The result
@@ -296,14 +311,12 @@ class RatMatrix:
         if not rank:
             return RatMatrix.zero(self.cols, self.rows)
         if rank == self.cols:
-            t = self.transpose()
-            return _solve(t @ self, t)
+            return _gram_solve(self.transpose())
         if rank == self.rows:
-            return _solve(self @ self.transpose(), self).transpose()
+            return _gram_solve(self).transpose()
         result, t = self.rref(), self.transpose().num
-        r = result.reduced
         ct = RatMatrix._canonical(rank, self.rows, [t[c] for c in result.pivot_columns], self.den)
-        return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ ct.transpose(), ct)
+        return _gram_solve(result.reduced).transpose() @ _gram_solve(ct)
 
     # -- JSON ---------------------------------------------------------
 
@@ -321,8 +334,10 @@ class RatMatrix:
         """Parse the matrix JSON encoding (list of rows, int or "p/q" entries).
 
         Shape hints, when given, are enforced; without them an empty list is
-        read as a 0 x 0 matrix.  Entries go straight to integers over one
-        denominator, read by the constructor's rules.
+        read as a 0 x 0 matrix.  A shape whose rows + cols exceed
+        ``MAX_TOTAL_DIM`` is refused before any entry is read.  Entries go
+        straight to integers over one denominator, read by the constructor's
+        rules.
         """
         if not isinstance(obj, list) or any(not isinstance(row, list) for row in obj):
             raise InputError("matrix JSON must be a list of rows")
@@ -330,6 +345,8 @@ class RatMatrix:
             rows = len(obj)
         if cols is None:
             cols = len(obj[0]) if obj else 0
+        if rows + cols > MAX_TOTAL_DIM:
+            raise InputError(f"a matrix's rows + cols must be at most {MAX_TOTAL_DIM}")
         if len(obj) != rows or any(len(row) != cols for row in obj):
             raise InputError(f"matrix JSON does not have shape {rows}x{cols}")
         return cls._raw(rows, cols, *_read_grid(obj))
@@ -354,22 +371,20 @@ def _fill(m: RatMatrix, rows: int, cols: int, num: list[list[int]], den: int):
     _set_rref(m, None)
 
 
-def _solve(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """a^-1 b for a square invertible ``a``, from one row reduction of [a | b].
+def _gram_solve(m: RatMatrix) -> RatMatrix:
+    """(M M^T)^-1 M, the Gram solve of M, from one row reduction of [M M^T | M].
 
-    ``a`` is invertible exactly when every pivot of [a | b] lies in a's
-    half, that is when the pivots are columns 0..n-1; otherwise
-    ``DimensionError`` is raised.  The reduced left half is then den times
-    the identity, so the right half alone is still canonical over den.
+    M M^T is invertible exactly when M has full row rank n, that is when the
+    pivots are columns 0..n-1.  Every caller has read full rank first, so
+    otherwise ``InvariantError`` is raised.  The reduced left half is then
+    den times the identity, so the right half alone is still canonical.
     """
-    n = a.rows
-    if a.cols != n or b.rows != n:
-        raise DimensionError(f"cannot solve {a.shape} against {b.shape}")
-    result = hstack(a, b).rref()
+    n = m.rows
+    result = hstack(m @ m.transpose(), m).rref()
     if result.pivot_columns != tuple(range(n)):
-        raise DimensionError("matrix is singular")
+        raise InvariantError("the Gram matrix of a full-rank factor is singular")
     red = result.reduced
-    return RatMatrix._raw(n, b.cols, [row[n:] for row in red.num], red.den)
+    return RatMatrix._raw(n, m.cols, [row[n:] for row in red.num], red.den)
 
 
 # -- stacking and block assembly --------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionError, InputError, InvariantError, PreconditionError
-from .matrices import RatMatrix, block, direct_sum
+from .matrices import MAX_TOTAL_DIM, RatMatrix, _is_dimension, block, direct_sum
 from .subspaces import (
     QuotientStructure,
     Subspace,
@@ -23,17 +23,6 @@ from .subspaces import (
     lift,
     quotient,
 )
-
-
-def _is_dimension(d) -> bool:
-    """Whether ``d`` is a dimension: a nonnegative int.  bool is a subclass of
-    int, but True is not a dimension, so the type is tested exactly."""
-    return type(d) is int and d >= 0
-
-
-# The largest total dimension an instance file may give: verify --all on a
-# chain of one degree this large takes seconds and a few hundred MB.
-MAX_TOTAL_DIM = 2048
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import matrices
 from .errors import DimensionError, InvariantError, PreconditionError
-from .matrices import RatMatrix, RrefResult, _solve, vstack
+from .matrices import RatMatrix, RrefResult, _gram_solve, vstack
 
 
 @dataclass(frozen=True)
@@ -193,18 +193,16 @@ def quotient(killed: Subspace) -> QuotientStructure:
     """Materialize Q^n / killed, n = killed.ambient_dim, with orthogonal section.
 
     With C the echelon basis of the orthogonal complement of ``killed`` (rows),
-    the section is C^T and the projection (C C^T)^-1 C, taken in solve form
-    from one row reduction of [C C^T | C], so that
-    projection @ section = identity and killed is exactly the kernel of the
-    projection.  When ``killed`` is zero, C is the identity and both maps are
-    the identity, which is returned directly.
+    the section is C^T and the projection its pseudoinverse (C C^T)^-1 C, the
+    Gram solve of C, so that projection @ section = identity and killed is
+    exactly the kernel of the projection.  When ``killed`` is zero, C is the
+    identity and both maps are the identity, which is returned directly.
     """
     if not killed.dim:
         identity = RatMatrix.identity(killed.ambient_dim)
         return QuotientStructure(identity, identity)
     c = orthogonal_complement(killed).basis
-    section = c.transpose()
-    return QuotientStructure(projection=_solve(c @ section, c), section=section)
+    return QuotientStructure(projection=_gram_solve(c), section=c.transpose())
 
 
 def induced_map(a: RatMatrix, q_dom: QuotientStructure, q_cod: QuotientStructure) -> RatMatrix:

@@ -7,6 +7,8 @@ the same pivots and nonzero reduced rows once each row is divided by its
 pivot entry.  The reference keeps the zero rows past the rank, which the
 library's ``rref_rows`` drops.
 
+``gram_solve`` is (M M^T)^-1 M, taken by ``rref_rows`` on [M M^T | M] in
+``Fraction`` entries, apart from the package's solve that it checks.
 ``pseudoinverse_two_solves`` is the general rank-factorization formula for
 the Moore-Penrose inverse, which ``RatMatrix.pseudoinverse`` applies only to
 matrices of deficient rank; every branch must give the matrix it gives.
@@ -14,7 +16,7 @@ matrices of deficient rank; every branch must give the matrix it gives.
 
 from fractions import Fraction
 
-from fredpairs.matrices import RatMatrix, _solve
+from fredpairs.matrices import RatMatrix
 
 _ZERO = Fraction(0)
 
@@ -68,9 +70,27 @@ def mat_mul(a, b, m, k, n):
     return out
 
 
+def gram_solve(m):
+    """(M M^T)^-1 M for a ``RatMatrix`` M of full row rank n, as a ``RatMatrix``.
+
+    The Gram matrix and the solve are taken in ``Fraction`` entries by this
+    module's ``mat_mul`` and ``rref_rows`` on [M M^T | M]; the right half of
+    the rref is the solve once its pivots are columns 0..n-1.  Otherwise M M^T
+    is singular and ``ValueError`` is raised.
+    """
+    n, cols = m.shape
+    grid = [list(row) for row in m.entries]
+    gram = mat_mul(grid, [list(c) for c in zip(*grid)], n, cols, n)
+    rows, pivots = rref_rows([g + r for g, r in zip(gram, grid)], n + cols)
+    if pivots != list(range(n)):
+        raise ValueError("singular Gram matrix")
+    return RatMatrix(n, cols, [row[n:] for row in rows])
+
+
 def pseudoinverse_two_solves(a):
     """The pseudoinverse of a ``RatMatrix`` of any rank and shape, from its full
-    rank factorization A = C R as R^T (R R^T)^-1 (C^T C)^-1 C^T in solve form.
+    rank factorization A = C R as R^T (R R^T)^-1 (C^T C)^-1 C^T, that is as the
+    product of the Gram solves of R and C^T.
 
     C holds the pivot columns of A, read entry by entry, and R the reduced
     rows of rref(A).  A zero matrix has empty factors, so the two solves are
@@ -78,7 +98,5 @@ def pseudoinverse_two_solves(a):
     """
     result = a.rref()
     pivots = result.pivot_columns
-    c = RatMatrix(a.rows, len(pivots), [[a[i, j] for j in pivots] for i in range(a.rows)])
-    r = result.reduced
-    ct = c.transpose()
-    return _solve(r @ r.transpose(), r).transpose() @ _solve(ct @ c, ct)
+    ct = RatMatrix(len(pivots), a.rows, [[a[i, j] for i in range(a.rows)] for j in pivots])
+    return gram_solve(result.reduced).transpose() @ gram_solve(ct)

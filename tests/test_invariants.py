@@ -4,6 +4,7 @@ They must hold under ``python -O`` too, and the CLI reports them with exit
 code 3, apart from 1 (a verifier check failed) and 2 (bad input).
 """
 
+import ast
 import dataclasses
 import json
 import os
@@ -227,6 +228,7 @@ def test_internal_precondition_failure_exits_3(monkeypatch, tmp_path, capsys, in
 
 
 NULL_ROW = "a null row of the rref is not in the null space"
+GRAM = "the Gram matrix of a full-rank factor is singular"
 
 
 @pytest.mark.parametrize(
@@ -236,8 +238,9 @@ NULL_ROW = "a null row of the rref is not in the null space"
         ("pair-report", {"dim_x": 2, "dim_y": 2, "s": [[1, 0], [0, 1]], "t": [[0, 0]] * 2}, NULL_ROW),
         ("chain-report", {"dims": [1, 2], "maps": [[[1, 1]]]}, NULL_ROW),
         ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]}, NULL_ROW),
+        ("pinv", [[1, 2], [3, 4]], GRAM),
     ],
-    ids=["pair-rank-0", "pair-null-row", "chain-rank-0", "chain-null-row"],
+    ids=["pair-rank-0", "pair-null-row", "chain-rank-0", "chain-null-row", "pinv"],
 )
 def test_report_with_a_rank_too_small_exits_3(
     monkeypatch, tmp_path, capsys, command, instance, message
@@ -246,7 +249,10 @@ def test_report_with_a_rank_too_small_exits_3(
     # Counted from ranks, the printed index is dim_x - dim_y (or the Euler
     # characteristic) even so; the defect numbers' own checks stop the
     # report: A then has a null row that it does not annihilate.  A one-row A
-    # has rank 0, so every unit vector is a null row.
+    # has rank 0, so every unit vector is a null row.  pinv reads the
+    # invertible [[1, 2], [3, 4]] as rank 1, and the Gram solve of its
+    # factor R, the identity read as rank 1, finds its Gram matrix singular:
+    # a fault of the package, not a bad matrix.
     rref_rows = matrices.rref_rows
 
     def lose_last_pivot(rows, ncols):
@@ -267,14 +273,17 @@ def test_report_with_a_rank_too_small_exits_3(
     [
         ("pair-report", {"dim_x": 2, "dim_y": 1, "s": [[1, 0]], "t": [[0], [1]]}),
         ("chain-report", {"dims": [2, 3], "maps": [[[1, 0, 0], [0, 1, 0]]]}),
+        ("pinv", [[1, 2], [3, 4]]),
+        ("pinv", [[1, 2], [2, 4]]),
     ],
-    ids=["pair", "chain"],
+    ids=["pair", "chain", "pinv", "pinv-rank-1"],
 )
 def test_report_with_a_wrong_product_exits_3(monkeypatch, tmp_path, capsys, command, instance):
     # The fault bench/test_bench.py injects: one entry of every nonempty
     # product off by one.  The defects form their products through the
     # binding on matrices that it and the tracer replace, so the null-row
-    # check sees the fault.
+    # check sees the fault.  pinv checks X A X = X and A X A = A before it
+    # prints, so the wrong inverse is never printed.
     mat_mul = matrices.mat_mul
 
     def off_by_one(a, b, m, k, n):
@@ -291,6 +300,18 @@ def test_report_with_a_wrong_product_exits_3(monkeypatch, tmp_path, capsys, comm
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("invariant failed: ")
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so no internal check may be one.
+    package = Path(fredpairs.__file__).resolve().parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_generator_budgets(monkeypatch):

@@ -8,11 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_kernels as reference
-from fredpairs import DimensionError, InputError, RatMatrix, block, direct_sum, hstack, vstack
+from fredpairs import (
+    DimensionError,
+    InputError,
+    InvariantError,
+    RatMatrix,
+    block,
+    direct_sum,
+    hstack,
+    vstack,
+)
 from fredpairs import matrices
 from fredpairs._kernels import mat_mul, rref_rows
 from fredpairs.generators import GenConfig, SplitMix64, random_matrix
-from fredpairs.matrices import _solve
+from fredpairs.matrices import _gram_solve
 
 from conftest import mat
 
@@ -75,6 +84,19 @@ class TestAlgebra:
     def test_exact_fractions(self):
         a = mat([["1/3", "1/6"]])
         assert a[0, 0] + a[0, 1] == Fraction(1, 2)
+
+    # With no rows, no entry checks the column count, so the shape alone must.
+    def test_constructor_refuses_a_negative_column_count(self):
+        with pytest.raises(DimensionError):
+            RatMatrix(0, -3, [])
+
+    def test_from_rows_refuses_a_negative_column_count(self):
+        with pytest.raises(DimensionError):
+            RatMatrix.from_rows([], cols=-2)
+
+    def test_constructor_refuses_a_bool_column_count(self):
+        with pytest.raises(DimensionError):
+            RatMatrix(0, True, [])
 
 
 def penrose_identities_hold(a, b):
@@ -248,7 +270,7 @@ PINV_BRANCHES = {
 }
 
 
-# How many times RatMatrix.pseudoinverse calls matrices._solve on each branch.
+# How many times RatMatrix.pseudoinverse calls matrices._gram_solve on each branch.
 PINV_SOLVES = {
     "zero": 0,
     "full_column_rank": 1,
@@ -283,14 +305,14 @@ class TestPseudoinverseBranches:
         assert pinv_branch(a) == branch
         expected = reference.pseudoinverse_two_solves(a)
         # the shortcuts solve once, or not at all for zero; only a deficient
-        # rank takes the two solves of the general formula
+        # rank takes the two Gram solves of the general formula
         solves = []
 
-        def counted(*args):
-            solves.append(args)
-            return _solve(*args)
+        def counted(m):
+            solves.append(m)
+            return _gram_solve(m)
 
-        monkeypatch.setattr(matrices, "_solve", counted)
+        monkeypatch.setattr(matrices, "_gram_solve", counted)
         got = a.pseudoinverse()
         assert len(solves) == PINV_SOLVES[branch]
         assert canonical(got)
@@ -398,35 +420,27 @@ class TestRepresentation:
         assert grid_of(inv) == plain_inverse(grid_of(a))
 
     def test_singular_matrices_are_refused(self):
-        # [A | I] always has rank n; A is invertible only if no pivot lies in I
+        # refused by rank, as bad input, before any solve
         for rows in ([[0]], [[1, 2], [2, 4]], [[0, 0], [0, 1]]):
-            with pytest.raises(DimensionError):
+            with pytest.raises(DimensionError, match="matrix is singular"):
                 mat(rows).inverse()
         assert RatMatrix.zero(0, 0).inverse() == RatMatrix.zero(0, 0)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_solve(self, data):
-        n, k = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
-        a, b = data.draw(rat_matrices(n, n)), data.draw(rat_matrices(n, k))
-        if a.rank < n:
-            with pytest.raises(DimensionError):
-                _solve(a, b)
+    @given(rat_matrices())
+    def test_gram_solve(self, m):
+        # a Gram matrix is singular exactly when M lacks full row rank, which
+        # every caller has ruled out: then the solve is an internal failure
+        if m.rank < m.rows:
+            with pytest.raises(InvariantError):
+                _gram_solve(m)
+            with pytest.raises(ValueError):
+                reference.gram_solve(m)
             return
-        x = _solve(a, b)
+        x = _gram_solve(m)
         assert canonical(x)
-        assert a @ x == b
-        # the right half of the reference rref of [a | b]
-        aug = [ra + rb for ra, rb in zip(grid_of(a), grid_of(b))]
-        rows, pivots = reference.rref_rows(aug, n + k)
-        assert pivots == list(range(n))
-        assert grid_of(x) == [row[n:] for row in rows]
-
-    def test_solve_shapes(self):
-        with pytest.raises(DimensionError):
-            _solve(mat([[1, 2]]), mat([[1]]))
-        with pytest.raises(DimensionError):
-            _solve(RatMatrix.identity(2), mat([[1]]))
+        assert (m @ m.transpose()) @ x == m
+        assert x == reference.gram_solve(m)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 5))

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_subspaces as reference
+from _reference_kernels import gram_solve
 from _reference_subspaces import complement, push_image
 from fredpairs import (
     DimensionError,
@@ -58,9 +59,10 @@ def any_shape_maps(draw, max_dim=6):
 
 
 def complement_construction(n, killed):
-    """(projection, section) of Q^n / killed with no short-cut: C^T and (C C^T)^-1 C."""
+    """(projection, section) of Q^n / killed with no short-cut: (C C^T)^-1 C,
+    solved in Fractions by the reference, and C^T."""
     c = orthogonal_complement(killed).basis
-    return (c @ c.transpose()).inverse() @ c, c.transpose()
+    return gram_solve(c), c.transpose()
 
 
 @st.composite
