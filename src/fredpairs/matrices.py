@@ -9,8 +9,15 @@ entries out (``entries``, indexing); JSON is encoded from the integer rows,
 each entry reduced against ``den`` by one gcd.  A linear map
 ``A: Q^n -> Q^m`` is stored as an m x n matrix acting on column vectors.
 
+Every matrix is made by ``RatMatrix._raw``, the one place that checks a shape
+(two nonnegative ints, never a bool) and fills the slots: the constructor,
+``zero``, ``identity``, the JSON reader and every operation go through it.
+
 One grid reader, ``_read_grid``, takes in every entry of the constructor and
-of the JSON reader, so both refuse the same values, a bool among them.
+of the JSON reader, so both refuse the same entries, a bool among them.  The
+JSON reader takes only lists of rows; the constructor takes any iterable of
+iterables, but refuses a str, bytes or bytearray as the grid or as a row
+rather than read it one character or byte at a time.
 
 Rows are lists, and no code mutates a row it did not just allocate: matrices
 share rows freely (a zero matrix repeats one row, a reduced matrix may reuse
@@ -50,6 +57,10 @@ def _off_grammar(text: str) -> bool:
     return not (text.isascii() and text.isprintable()) or " " in text or "+" in text or "_" in text
 
 
+# Text types, iterable by character or byte: never a grid or a row of one.
+_TEXT = frozenset((str, bytes, bytearray))
+
+
 def _read_grid(grid: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     """Ints, ``"p/q"`` strings and Fractions as canonical integer rows over one den.
 
@@ -58,8 +69,15 @@ def _read_grid(grid: Iterable[Iterable]) -> tuple[list[list[int]], int]:
     with a nonzero denominator passes.  The int test is by exact type, so a
     bool is refused.  The (numerator, denominator) pairs read go to
     ``_over_lcm``.  A failure raises ``InputError`` naming an offending entry.
+    A str, bytes or bytearray, as the grid or as a row, is refused by exact
+    type, not read as one entry per character; the grid itself, which may be
+    an iterator, is read once.
     """
-    grid = [list(row) for row in grid]
+    rows = [grid] if type(grid) in _TEXT else list(grid)
+    if not _TEXT.isdisjoint(map(type, rows)):
+        text = next(row for row in rows if type(row) in _TEXT)
+        raise InputError(f"an entry grid and its rows must not be strings: {text!r}")
+    grid = [list(row) for row in rows]
     strings = [e for row in grid for e in row if isinstance(e, str)]
     if _off_grammar("".join(strings)):
         raise InputError(f"malformed rational: {next(filter(_off_grammar, strings))!r}")
@@ -151,25 +169,27 @@ class RatMatrix:
 
     __slots__ = ("rows", "cols", "num", "den", "_rref")
 
-    def __init__(self, rows: int, cols: int, entries: Iterable[Iterable]):
-        if not (_is_dimension(rows) and _is_dimension(cols)):
-            raise DimensionError(f"a shape must be two nonnegative integers, got {rows!r}x{cols!r}")
+    def __new__(cls, rows: int, cols: int, entries: Iterable[Iterable]):
         num, den = _read_grid(entries)
         if len(num) != rows or any(len(row) != cols for row in num):
             raise DimensionError(f"entry grid does not match shape {rows}x{cols}")
-        _fill(self, rows, cols, num, den)
+        return cls._raw(rows, cols, num, den)
 
     @classmethod
     def _raw(cls, rows: int, cols: int, num: list[list[int]], den: int) -> "RatMatrix":
-        """Wrap integer rows that are already canonical over ``den``; nothing is checked."""
-        self = _new(cls)
-        _fill(self, rows, cols, num, den)
-        return self
+        """The one door of every matrix: wrap integer rows already canonical over ``den``.
 
-    @classmethod
-    def _canonical(cls, rows: int, cols: int, num: list[list[int]], den: int) -> "RatMatrix":
-        """Wrap integer rows over ``den > 0`` after dividing out their common factor."""
-        return cls._raw(rows, cols, *_reduced(num, den))
+        The shape is checked here and nowhere else; the rows are not checked.
+        """
+        if not (_is_dimension(rows) and _is_dimension(cols)):
+            raise DimensionError(f"a shape must be two nonnegative integers, got {rows!r}x{cols!r}")
+        self = _new(cls)
+        _set_rows(self, rows)
+        _set_cols(self, cols)
+        _set_num(self, num)
+        _set_den(self, den)
+        _set_rref(self, None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -237,7 +257,7 @@ class RatMatrix:
             raise DimensionError(f"shape mismatch: {self.shape} vs {other.shape}")
         den, (left, right) = _aligned((self, other))
         num = [list(map(op, r1, r2)) for r1, r2 in zip(left, right)]
-        return RatMatrix._canonical(self.rows, self.cols, num, den)
+        return RatMatrix._raw(self.rows, self.cols, *_reduced(num, den))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         return self._entrywise(other, operator.add)
@@ -251,7 +271,7 @@ class RatMatrix:
         if self.is_zero() or other.is_zero():
             return RatMatrix.zero(self.rows, other.cols)
         num = mat_mul(self.num, other.num, self.rows, self.cols, other.cols)
-        return RatMatrix._canonical(self.rows, other.cols, num, self.den * other.den)
+        return RatMatrix._raw(self.rows, other.cols, *_reduced(num, self.den * other.den))
 
     def transpose(self) -> "RatMatrix":
         num = [list(c) for c in zip(*self.num)] if self.rows else [[]] * self.cols
@@ -315,7 +335,8 @@ class RatMatrix:
         if rank == self.rows:
             return _gram_solve(self).transpose()
         result, t = self.rref(), self.transpose().num
-        ct = RatMatrix._canonical(rank, self.rows, [t[c] for c in result.pivot_columns], self.den)
+        pivot_rows = [t[c] for c in result.pivot_columns]
+        ct = RatMatrix._raw(rank, self.rows, *_reduced(pivot_rows, self.den))
         return _gram_solve(result.reduced).transpose() @ _gram_solve(ct)
 
     # -- JSON ---------------------------------------------------------
@@ -361,14 +382,6 @@ _set_cols = RatMatrix.cols.__set__
 _set_num = RatMatrix.num.__set__
 _set_den = RatMatrix.den.__set__
 _set_rref = RatMatrix._rref.__set__
-
-
-def _fill(m: RatMatrix, rows: int, cols: int, num: list[list[int]], den: int):
-    _set_rows(m, rows)
-    _set_cols(m, cols)
-    _set_num(m, num)
-    _set_den(m, den)
-    _set_rref(m, None)
 
 
 def _gram_solve(m: RatMatrix) -> RatMatrix:

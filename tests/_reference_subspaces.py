@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from fredpairs import DimensionError, PreconditionError, RatMatrix, Subspace, block
 from fredpairs import orthogonal_complement
+from fredpairs.matrices import _reduced
 from fredpairs.subspaces import _null_rows
 
 
@@ -41,7 +42,7 @@ def zassenhaus_meet(u: Subspace, v: Subspace) -> Subspace:
     first = bisect_left(result.pivot_columns, n)
     red = result.reduced
     rows = [row[n:] for row in red.num[first:]]
-    return Subspace(RatMatrix._canonical(len(rows), n, rows, red.den))
+    return Subspace(RatMatrix._raw(len(rows), n, *_reduced(rows, red.den)))
 
 
 def stacked_defect_numbers(a: RatMatrix, b: RatMatrix) -> tuple[int, int]:

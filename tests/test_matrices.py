@@ -13,6 +13,7 @@ from fredpairs import (
     InputError,
     InvariantError,
     RatMatrix,
+    Subspace,
     block,
     direct_sum,
     hstack,
@@ -21,7 +22,7 @@ from fredpairs import (
 from fredpairs import matrices
 from fredpairs._kernels import mat_mul, rref_rows
 from fredpairs.generators import GenConfig, SplitMix64, random_matrix
-from fredpairs.matrices import _gram_solve
+from fredpairs.matrices import _gram_solve, _reduced
 
 from conftest import mat
 
@@ -97,6 +98,24 @@ class TestAlgebra:
     def test_constructor_refuses_a_bool_column_count(self):
         with pytest.raises(DimensionError):
             RatMatrix(0, True, [])
+
+    # These doors read no grid, so only the shape test in RatMatrix._raw,
+    # which every matrix passes through, can refuse their shapes.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RatMatrix.zero(0, -3),
+            lambda: RatMatrix.zero(True, 2),
+            lambda: RatMatrix.identity(-1),
+            lambda: Subspace.zero(-2),
+            lambda: Subspace.full(-1),
+            lambda: RatMatrix.from_json_obj([[1]], rows=True),
+        ],
+        ids=["zero-negative", "zero-bool", "identity", "subspace-zero", "subspace-full", "json-hint"],
+    )
+    def test_every_door_refuses_a_bad_shape(self, build):
+        with pytest.raises(DimensionError):
+            build()
 
 
 def penrose_identities_hold(a, b):
@@ -361,8 +380,8 @@ class TestRepresentation:
                 (RatMatrix.zero(m, k), RatMatrix.zero(k, n)),
             ]:
                 result = a @ b
-                kernel = RatMatrix._canonical(
-                    m, n, mat_mul(a.num, b.num, m, k, n), a.den * b.den
+                kernel = RatMatrix._raw(
+                    m, n, *_reduced(mat_mul(a.num, b.num, m, k, n), a.den * b.den)
                 )
                 assert canonical(result)
                 assert (result.shape, result.num, result.den) == (
@@ -531,6 +550,27 @@ class TestParse:
         # the constructor reads entries by the same rules, a bool included
         with pytest.raises(InputError):
             RatMatrix(1, 1, [[cell]])
+
+    # A str or bytes iterates by character or byte; the JSON reader only
+    # takes lists, and the constructor refuses text as a grid or as a row.
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RatMatrix(1, 2, ["12"]),
+            lambda: RatMatrix.from_rows(["12", "34"]),
+            lambda: RatMatrix(2, 1, "12"),
+            lambda: RatMatrix(1, 2, [b"12"]),
+            lambda: RatMatrix(1, 2, [bytearray(b"12")]),
+        ],
+        ids=["str-row", "str-rows", "str-grid", "bytes-row", "bytearray-row"],
+    )
+    def test_text_is_neither_a_grid_nor_a_row(self, build):
+        with pytest.raises(InputError):
+            build()
+
+    def test_a_one_shot_grid_is_read_once(self):
+        grid = iter([[1, "1/2"], (3, Fraction(1, 4))])
+        assert RatMatrix(2, 2, grid) == mat([[1, "1/2"], [3, "1/4"]])
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="01-/+_ \t\n\x1c٣x", max_size=7))
